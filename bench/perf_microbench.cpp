@@ -26,7 +26,6 @@
 #include "fab/ruledeck.hpp"
 #include "mech/resonator.hpp"
 #include "obs/obs.hpp"
-#include "sim/integrator.hpp"
 #include "surrogate/tier.hpp"
 #include "util/dft.hpp"
 #include "util/random.hpp"
@@ -49,20 +48,6 @@ void BM_ResonatorStepExact(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_ResonatorStepExact);
-
-void BM_Rk4Step(benchmark::State& state) {
-    sim::Rk4Integrator integ(
-        [](double, std::span<const double> y, std::span<double> d) {
-            d[0] = y[1];
-            d[1] = -4e12 * y[0] - 6e3 * y[1];
-        },
-        {1e-9, 0.0});
-    for (auto _ : state) {
-        integ.step(1e-7);
-        benchmark::DoNotOptimize(integ.state(0));
-    }
-}
-BENCHMARK(BM_Rk4Step);
 
 void BM_ChopperSample(benchmark::State& state) {
     circ::ChopperConfig cfg;

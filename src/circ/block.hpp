@@ -31,9 +31,10 @@ public:
     /// Fills `spec` with this block's exact linear kernel description and
     /// returns true, or returns false for blocks that are not linear in
     /// their input (or choose to stay opaque). The spec's coefficients
-    /// must reproduce process() bit for bit via replay_spec_sample(), and
-    /// its state pointers must alias the block's live state. Called once
-    /// per batch by the chain compiler (CBS_FUSE, DESIGN.md §11).
+    /// must be those of process()'s own kernel (the per-kind recurrences
+    /// in linear_spec.hpp), and its state pointers must alias the block's
+    /// live state. Called once per batch by the chain compiler (CBS_FUSE,
+    /// DESIGN.md §11).
     virtual bool linear_spec(LinearSpec& spec) {
         (void)spec;
         return false;
@@ -121,14 +122,13 @@ public:
     /// traversal produces the same bits as sample-by-sample traversal —
     /// while paying one virtual call per block per batch. Boundary taps
     /// see each block's completed batch (tap_block: one gate per batch).
-    /// Under CBS_FUSE (scalar: bit-identical kernel replay; on: dense
-    /// state-space recurrence, tolerance contract) runs of linear blocks
-    /// execute through the compiled form instead — armed probe boundaries
-    /// and nonlinear blocks split the fused segments (DESIGN.md §11).
+    /// Under CBS_FUSE=on runs of linear blocks execute through the
+    /// compiled form instead (dense state-space recurrence, tolerance
+    /// contract) — armed probe boundaries and nonlinear blocks split the
+    /// fused segments (DESIGN.md §11).
     void process_block(std::span<double> inout) override {
-        const FuseMode mode = fuse_mode();
-        if (mode != FuseMode::off &&
-            fused_chain_process_block(blocks_, taps_, fuse_plan_, inout, mode)) {
+        if (fuse_mode() == FuseMode::simd &&
+            fused_chain_process_block(blocks_, taps_, fuse_plan_, inout)) {
             return;
         }
         if (taps_.empty()) {

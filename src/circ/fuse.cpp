@@ -4,7 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "circ/block.hpp"
 #include "obs/probe.hpp"
@@ -24,16 +25,9 @@ namespace {
 FuseMode env_fuse_mode() {
     static const FuseMode parsed = [] {
         const char* raw = std::getenv("CBS_FUSE");
+        // Set-but-empty reads as unset, like every other CBS_* knob.
         if (raw == nullptr || raw[0] == '\0') return FuseMode::off;
-        if (std::strcmp(raw, "off") == 0 || std::strcmp(raw, "0") == 0) {
-            return FuseMode::off;
-        }
-        if (std::strcmp(raw, "scalar") == 0) return FuseMode::scalar;
-        if (std::strcmp(raw, "on") == 0 || std::strcmp(raw, "1") == 0 ||
-            std::strcmp(raw, "simd") == 0) {
-            return FuseMode::simd;
-        }
-        return FuseMode::off;
+        return parse_fuse_mode(raw);
     }();
     return parsed;
 }
@@ -45,6 +39,13 @@ std::atomic<int>& fuse_override_slot() {
 }
 
 }  // namespace
+
+FuseMode parse_fuse_mode(std::string_view value) {
+    if (value == "off" || value == "0") return FuseMode::off;
+    if (value == "on" || value == "1" || value == "simd") return FuseMode::simd;
+    throw std::invalid_argument("CBS_FUSE=\"" + std::string(value) +
+                                "\" is not one of off|0|on|1|simd");
+}
 
 FuseMode fuse_mode() {
     const int forced = fuse_override_slot().load(std::memory_order_relaxed);
@@ -355,15 +356,7 @@ double state_space_finish(const StateSpace& ss, double* x, const double* xn, dou
 }
 
 void fused_specs_process_block(std::span<const LinearSpec> specs, SpecRunCache& cache,
-                               std::span<double> inout, FuseMode mode) {
-    if (mode == FuseMode::scalar) {
-        // Exact tier: replay each block's own kernel block-major — the same
-        // operations in the same order as the legacy stage-major path.
-        for (const LinearSpec& s : specs) {
-            for (double& v : inout) v = replay_spec_sample(s, v);
-        }
-        return;
-    }
+                               std::span<double> inout) {
     if (!cache.valid || !std::equal(specs.begin(), specs.end(), cache.built.begin(),
                                     cache.built.end())) {
         build_state_space(specs, cache.ss);
@@ -387,7 +380,7 @@ struct FusePlan {
         std::size_t begin = 0;
         std::size_t end = 0;  // one past the last block
         bool fused = false;
-        StateSpace ss;  // built on demand in SIMD mode
+        StateSpace ss;  // rebuilt every batch for fused segments
     };
 
     std::vector<LinearSpec> specs;    // parallel to blocks
@@ -447,7 +440,7 @@ void segment_plan(FusePlan& plan, std::uint64_t armed) {
 bool fused_chain_process_block(std::span<const std::unique_ptr<Block>> blocks,
                                std::span<obs::Probe* const> taps,
                                std::shared_ptr<FusePlan>& plan,
-                               std::span<double> inout, FuseMode mode) {
+                               std::span<double> inout) {
     const std::size_t count = blocks.size();
     if (count < 2 || count > kMaxPlannedBlocks) return false;
     if (!plan) plan = std::make_shared<FusePlan>();
@@ -483,27 +476,19 @@ bool fused_chain_process_block(std::span<const std::unique_ptr<Block>> blocks,
         }
         const std::span<const LinearSpec> specs{p.specs.data() + seg.begin,
                                                 seg.end - seg.begin};
-        if (mode == FuseMode::scalar) {
-            // Exact tier: replay each block's own kernel block-major — the
-            // same operations in the same order as the legacy path.
-            for (const LinearSpec& s : specs) {
-                for (double& v : inout) v = replay_spec_sample(s, v);
-            }
-        } else {
-            // SIMD tier: one dense recurrence step per sample. The matrices
-            // are rebuilt per batch (coefficients may have moved); block
-            // states are loaded once, stepped in the padded scratch, and
-            // stored back so mode switches stay coherent.
-            build_state_space(specs, seg.ss);
-            p.x.resize(seg.ss.n4);
-            p.xn.resize(seg.ss.n4);
-            load_states(seg.ss, p.x.data());
-            const StepFn fn = step_fn();
-            for (double& v : inout) {
-                v = fn(seg.ss, p.x.data(), p.xn.data(), v);
-            }
-            store_states(seg.ss, p.x.data());
+        // One dense recurrence step per sample. The matrices are rebuilt
+        // per batch (coefficients may have moved); block states are loaded
+        // once, stepped in the padded scratch, and stored back so mode
+        // switches stay coherent.
+        build_state_space(specs, seg.ss);
+        p.x.resize(seg.ss.n4);
+        p.xn.resize(seg.ss.n4);
+        load_states(seg.ss, p.x.data());
+        const StepFn fn = step_fn();
+        for (double& v : inout) {
+            v = fn(seg.ss, p.x.data(), p.xn.data(), v);
         }
+        store_states(seg.ss, p.x.data());
         if (!taps.empty()) taps[seg.end - 1]->tap_block(inout);
     }
     return true;

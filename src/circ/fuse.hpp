@@ -1,17 +1,14 @@
 // Chain compilation: collapsing runs of linear blocks into a state-space
 // recurrence, behind the CBS_FUSE environment toggle (DESIGN.md §11).
 //
-// Three tiers:
-//   CBS_FUSE=off    (default) — the legacy per-block path, untouched.
-//   CBS_FUSE=scalar — fused segments replay each block's exact scalar
-//                     kernel through its LinearSpec: the same operations in
-//                     the same order, so results are bit-identical to off.
-//   CBS_FUSE=on     (alias: simd, 1) — fused segments step the composed
-//                     dense recurrence x' = A·x + B·u + f, y = C·x + D·u + e
-//                     with a runtime-dispatched SIMD kernel (AVX2+FMA where
-//                     available, portable scalar otherwise). Reassociation
-//                     changes the last bits: results carry a per-signal
-//                     tolerance contract instead of bit-identity.
+// Two tiers:
+//   CBS_FUSE=off (default; alias 0) — the legacy per-block path, untouched.
+//   CBS_FUSE=on  (aliases: simd, 1) — fused segments step the composed
+//                dense recurrence x' = A·x + B·u + f, y = C·x + D·u + e
+//                with a runtime-dispatched SIMD kernel (AVX2+FMA where
+//                available, portable scalar otherwise). Reassociation
+//                changes the last bits: results carry a per-signal
+//                tolerance contract instead of bit-identity.
 //
 // Nonlinear blocks (limiter, chopper, ADC, …) and armed probe taps are
 // segment breakpoints: the fused form never crosses them, so every
@@ -21,6 +18,7 @@
 #include <cstddef>
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "circ/linear_spec.hpp"
@@ -33,11 +31,16 @@ namespace cbs::circ {
 
 class Block;
 
-enum class FuseMode { off, scalar, simd };
+enum class FuseMode { off, simd };
 
-/// Current fuse mode: the programmatic override if set, else the value
-/// parsed from CBS_FUSE (off|0 -> off, scalar -> scalar,
-/// on|1|simd -> simd), else off.
+/// Parses a CBS_FUSE value: off|0 -> off, on|1|simd -> simd. Throws
+/// std::invalid_argument naming CBS_FUSE and the accepted values for
+/// anything else, including the empty string.
+[[nodiscard]] FuseMode parse_fuse_mode(std::string_view value);
+
+/// Current fuse mode: the programmatic override if set, else CBS_FUSE
+/// through parse_fuse_mode (unset or empty -> off). An invalid CBS_FUSE
+/// throws std::invalid_argument from the first call.
 [[nodiscard]] FuseMode fuse_mode();
 
 /// Programmatic override (thread-safe), read by every subsequent
@@ -101,14 +104,12 @@ struct SpecRunCache {
     std::vector<double> x, xn;  // padded dense-step scratch
 };
 
-/// Runs a batch through the compiled form of a spec cascade. Scalar tier
-/// replays each spec's exact kernel block-major — bit-identical to calling
-/// the source blocks' process_block in order; simd tier steps the composed
-/// dense recurrence (tolerance contract, DESIGN.md §11). Block states are
-/// loaded/stored through the specs' live pointers, so interleaving with
-/// the legacy path stays coherent.
+/// Runs a batch through the compiled form of a spec cascade: one step of
+/// the composed dense recurrence per sample (tolerance contract, DESIGN.md
+/// §11). Block states are loaded/stored through the specs' live pointers,
+/// so interleaving with the legacy path stays coherent.
 void fused_specs_process_block(std::span<const LinearSpec> specs, SpecRunCache& cache,
-                               std::span<double> inout, FuseMode mode);
+                               std::span<double> inout);
 
 /// Compiled execution plan for a Chain's block list; built lazily, cached
 /// by the chain, and invalidated (reset) whenever the block list or probe
@@ -124,6 +125,6 @@ struct FusePlan;
 bool fused_chain_process_block(std::span<const std::unique_ptr<Block>> blocks,
                                std::span<obs::Probe* const> taps,
                                std::shared_ptr<FusePlan>& plan,
-                               std::span<double> inout, FuseMode mode);
+                               std::span<double> inout);
 
 }  // namespace cbs::circ

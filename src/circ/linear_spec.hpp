@@ -3,15 +3,11 @@
 //
 // A block that is linear (affine) in its input fills a LinearSpec with a
 // kind tag, the coefficients of its *exact* scalar kernel, and live
-// pointers into its own state variables. Two consumers exist:
-//
-//  * replay_spec_sample() re-executes the block's scalar kernel operation
-//    for operation through the spec — bit-identical to calling the block's
-//    own process(), and advancing the block's real state through the live
-//    pointers, so fused and legacy paths can interleave freely;
-//  * build_state_space() (fuse.hpp) composes a cascade of specs into one
-//    dense recurrence x' = A·x + B·u + f, y = C·x + D·u + e — the
-//    reassociated form behind the CBS_FUSE SIMD tier.
+// pointers into its own state variables. build_state_space() (fuse.hpp)
+// composes a cascade of specs into one dense recurrence
+// x' = A·x + B·u + f, y = C·x + D·u + e — the reassociated form behind the
+// CBS_FUSE SIMD tier — and steps the blocks' real state through the live
+// pointers, so fused and legacy paths can interleave freely.
 //
 // This header is intentionally free of block.hpp so Block can depend on it.
 #pragma once
@@ -52,35 +48,5 @@ struct LinearSpec {
         return 0;
     }
 };
-
-/// Replays one sample through the spec'd kernel — the same floating-point
-/// operations, in the same association, as the owning block's process().
-inline double replay_spec_sample(const LinearSpec& s, double u) {
-    switch (s.kind) {
-        case LinearSpec::Kind::gain:
-            return s.c0 * u;
-        case LinearSpec::Kind::affine:
-            return s.c0 * u + s.c1;
-        case LinearSpec::Kind::onepole_lp:
-            *s.s0 += s.c0 * (u - *s.s0);
-            return *s.s0;
-        case LinearSpec::Kind::onepole_hp:
-            *s.s0 = s.c0 * (*s.s0 + u - *s.s1);
-            *s.s1 = u;
-            return *s.s0;
-        case LinearSpec::Kind::biquad: {
-            const double out = s.c0 * u + *s.s0;
-            *s.s0 = s.c1 * u - s.c3 * out + *s.s1;
-            *s.s1 = s.c2 * u - s.c4 * out;
-            return out;
-        }
-        case LinearSpec::Kind::differentiator: {
-            const double out = s.c0 * (u - *s.s0);
-            *s.s0 = u;
-            return out;
-        }
-    }
-    return u;
-}
 
 }  // namespace cbs::circ

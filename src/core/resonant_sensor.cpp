@@ -224,9 +224,9 @@ void ResonantCantileverSystem::run_batch(std::size_t n,
     //  * the counter and trace each get one batched append.
     // Every arithmetic step matches tick() exactly — bit-identity is the
     // contract (DESIGN.md §9), locked by the batch-size-sweep tests.
-    // Under CBS_FUSE the analog chain runs through the compiled form
-    // instead (scalar: bit-identical kernel replay; on: dense state-space
-    // recurrence with a tolerance contract — DESIGN.md §11).
+    // Under CBS_FUSE=on the analog chain runs through the compiled form
+    // instead (dense state-space recurrence with a tolerance contract —
+    // DESIGN.md §11).
     const circ::FuseMode fuse =
         fuse_latched_off_ ? circ::FuseMode::off : circ::fuse_mode();
     if (force_raw_.size() - force_pos_ < n) {
@@ -256,11 +256,11 @@ void ResonantCantileverSystem::run_batch(std::size_t n,
     readout_scratch_.resize(n);
     const double half_bias = cfg_.bridge.bias.value() / 2.0;
     const double sigma = force_noise_sigma_;
-    if (fuse != circ::FuseMode::off && run_batch_fused(n, fuse)) {
+    if (fuse == circ::FuseMode::simd && run_batch_fused(n)) {
         finish_batch(out);
         return;
     }
-    // The fused tiers pull their white draws through peek_raw (which
+    // The fused loop pulls its white draws through peek_raw (which
     // prefetches internally); only the per-sample loop below needs the
     // buffers filled up front.
     bridge_thermal_.prefetch(n);
@@ -324,18 +324,27 @@ void ResonantCantileverSystem::finish_batch(std::vector<daq::FrequencyMeasuremen
     displacement_trace_.push_block(t_scratch_, x_scratch_);
 }
 
-bool ResonantCantileverSystem::run_batch_fused(std::size_t n, circ::FuseMode mode) {
+bool ResonantCantileverSystem::run_batch_fused(std::size_t n) {
     // Per-batch compilation (matrix build, state load/store) amortizes over
     // the batch; below this size the exact loop is faster.
-    if (mode == circ::FuseMode::simd && n < 16) return false;
+    if (n < 16) return false;
     const circ::BehavioralAmplifier::FusedView view = dda_.core().fused_view();
-    // Eligibility, both tiers: the fused form folds the DDA's offset and
-    // white noise around its gain + pole, but not 1/f (resonant configs
-    // leave the DDA flicker-free) or an armed NaN injection (the injected
-    // sample consumes no raw variate, breaking the 1:1 raw mapping).
+    // Eligibility: the fused form folds the DDA's offset and white noise
+    // around its gain + pole, but not 1/f (resonant configs leave the DDA
+    // flicker-free) or an armed NaN injection (the injected sample consumes
+    // no raw variate, breaking the 1:1 raw mapping). Armed probes need the
+    // exact per-tick stream (the resonant analogue of a chain segment split
+    // is falling back to the exact loop), and the slew limiter must be
+    // provably inactive — with max_step >= 2·saturation and the pole
+    // output inside ±saturation, consecutive outputs can never be farther
+    // apart than the slew allows, so the recurrence may drop the clamp.
     if (view.flicker != nullptr) return false;
     if (view.white != nullptr && view.white->nan_injection_armed()) return false;
     if (bridge_thermal_.nan_injection_armed()) return false;
+    if (probe_bridge_->armed() || probe_loop_->armed() || probe_displacement_->armed()) {
+        return false;
+    }
+    if (!(view.max_step >= 2.0 * view.saturation)) return false;
 
     // The loop's linear run as exact kernel specs: DDA gain -> DDA pole ->
     // loop band-pass -> hp1 -> hp2 -> phase shifter -> VGA. Refilled every
@@ -348,63 +357,6 @@ bool ResonantCantileverSystem::run_batch_fused(std::size_t n, circ::FuseMode mod
         !phase_shifter_.linear_spec(loop_specs_[5]) || !vga_.linear_spec(loop_specs_[6])) {
         return false;
     }
-
-    const double half_bias = cfg_.bridge.bias.value() / 2.0;
-    const double sigma = force_noise_sigma_;
-    const double cm_den = dda_.common_mode_denominator();
-
-    if (mode == circ::FuseMode::scalar) {
-        // Exact tier: the DDA expansion below performs the same operations
-        // in the same order as process_pair_fast / process_sample, and
-        // replay_spec_sample is each filter's own kernel — every value is
-        // bit-identical to the legacy loop above.
-        double out_state = *view.out_state;
-        for (std::size_t j = 0; j < n; ++j) {
-            const double x = resonator_.displacement().value();
-            bridge_.set_sense_delta(std::max(drr_per_metre_ * x, -0.99));
-            const auto [diff, cm] = bridge_.output_pair();
-            double v = bridge_thermal_.process(diff.value());
-            if (flicker_counter_++ % flicker_stride_ == 0) {
-                flicker_value_ = bridge_flicker_.process(0.0);
-            }
-            v += flicker_value_;
-            probe_bridge_->tap(v);
-            double u = v + (cm.value() - half_bias) / cm_den;
-            u = u + view.offset;
-            if (view.white != nullptr) u = view.white->process(u);
-            double y = circ::replay_spec_sample(loop_specs_[0], u);
-            y = circ::replay_spec_sample(loop_specs_[1], y);
-            const double step = std::clamp(y - out_state, -view.max_step, view.max_step);
-            out_state += step;
-            out_state = std::clamp(out_state, -view.saturation, view.saturation);
-            y = out_state;
-            for (std::size_t k = 2; k < loop_specs_.size(); ++k) {
-                y = circ::replay_spec_sample(loop_specs_[k], y);
-            }
-            y = limiter_.process_saturating(y);
-            (void)buffer_.process_sample(y);
-            const double f_drive = actuator_.force(buffer_.load_current()).value();
-            const double f_noise = force_batch_[j] * sigma + 0.0;
-            resonator_.step_exact_inline(f_drive + f_noise, dt_);
-            readout_scratch_[j] = y;
-            t_scratch_[j] = t_;
-            x_scratch_[j] = x;
-            t_ += dt_;
-        }
-        *view.out_state = out_state;
-        return true;
-    }
-
-    // SIMD tier. Additional eligibility: armed probes need the exact
-    // per-tick stream (the resonant analogue of a chain segment split is
-    // falling back to the exact loop), and the slew limiter must be
-    // provably inactive — with max_step >= 2·saturation and the pole
-    // output inside ±saturation, consecutive outputs can never be farther
-    // apart than the slew allows, so the recurrence may drop the clamp.
-    if (probe_bridge_->armed() || probe_loop_->armed() || probe_displacement_->armed()) {
-        return false;
-    }
-    if (!(view.max_step >= 2.0 * view.saturation)) return false;
 
     // The dense matrices are a pure function of the spec coefficients;
     // rebuild only when a spec changed (the VGA gain moves between runs,
@@ -431,7 +383,9 @@ bool ResonantCantileverSystem::run_batch_fused(std::size_t n, circ::FuseMode mod
         dda_raw = view.white->peek_raw(n);
         dda_sigma = view.white->sigma_per_sample();
     }
-    const double inv_cm_den = 1.0 / cm_den;  // reassociated: ε contract
+    const double half_bias = cfg_.bridge.bias.value() / 2.0;
+    const double sigma = force_noise_sigma_;
+    const double inv_cm_den = 1.0 / dda_.common_mode_denominator();  // reassociated: ε contract
     const double amp_offset = view.offset;
     double pole_peak = 0.0;
 #if defined(__x86_64__) || defined(_M_X64)

@@ -135,14 +135,12 @@ private:
     /// the noise draws prefetched in bulk — bit-identical to n tick() calls
     /// (DESIGN.md §9). Completed counter gates are appended to `out`.
     void run_batch(std::size_t n, std::vector<daq::FrequencyMeasurement>& out);
-    /// Compiled-form serial loop (CBS_FUSE, DESIGN.md §11): scalar tier
-    /// replays the loop's linear run through exact LinearSpec kernels
-    /// (bit-identical to the legacy loop); simd tier steps the composed
-    /// dense recurrence with reassociated kernels (tolerance contract).
-    /// Returns false when the configuration is ineligible (1/f in the DDA,
-    /// armed fault injection, armed probes or insufficient slew margin in
-    /// simd mode) and the caller must run the legacy loop.
-    bool run_batch_fused(std::size_t n, circ::FuseMode mode);
+    /// Compiled-form serial loop (CBS_FUSE=on, DESIGN.md §11): steps the
+    /// loop's linear run as the composed dense recurrence with reassociated
+    /// kernels (tolerance contract). Returns false when the configuration
+    /// is ineligible (1/f in the DDA, armed fault injection, armed probes
+    /// or insufficient slew margin) and the caller must run the legacy loop.
+    bool run_batch_fused(std::size_t n);
     /// Batch tail shared by the legacy and fused loops: probe taps, readout
     /// filtering, counter feed and trace append.
     void finish_batch(std::vector<daq::FrequencyMeasurement>& out);

@@ -144,14 +144,12 @@ double StaticCantileverSystem::acquire(Time settle, Time integrate) {
             chopper_.process_block(chain_buf_);
             probe_chopper_->tap_block(chain_buf_);
             // The chain's linear run — post-filter -> offset — executes
-            // through the compiled form under CBS_FUSE (scalar: exact
-            // kernel replay, bit-identical; on: dense recurrence with the
-            // §11 tolerance contract). The chopper, the PGAs' output
-            // saturation and the ADC stay exact breakpoints around it.
-            const circ::FuseMode fmode = circ::fuse_mode();
-            if (fmode != circ::FuseMode::off && post_filter_.linear_spec(fuse_specs_[0]) &&
-                offset_.linear_spec(fuse_specs_[1])) {
-                circ::fused_specs_process_block(fuse_specs_, fuse_cache_, chain_buf_, fmode);
+            // through the compiled form under CBS_FUSE=on (dense recurrence
+            // with the §11 tolerance contract). The chopper, the PGAs'
+            // output saturation and the ADC stay exact breakpoints around it.
+            if (circ::fuse_mode() == circ::FuseMode::simd &&
+                post_filter_.linear_spec(fuse_specs_[0]) && offset_.linear_spec(fuse_specs_[1])) {
+                circ::fused_specs_process_block(fuse_specs_, fuse_cache_, chain_buf_);
             } else {
                 post_filter_.process_block(chain_buf_);
                 offset_.process_block(chain_buf_);

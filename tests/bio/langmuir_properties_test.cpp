@@ -4,8 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "bio/langmuir.hpp"
+
+namespace cbs::bio {
+
+// Print the parameter by name, not by address: gtest puts the printed value
+// in the listed test name, and an address would rename the test on every run.
+static void PrintTo(const Analyte* analyte, std::ostream* os) { *os << analyte->name; }
+
+}  // namespace cbs::bio
 
 namespace {
 

@@ -87,7 +87,7 @@ std::vector<double> waveform_values(const std::string& probe_name) {
 }
 
 // All boundaries armed: every fusable segment splits down to single
-// blocks, so taps AND output are bit-identical on every tier.
+// blocks, so taps AND output are bit-identical on both tiers.
 TEST(ProbeFusion, FullyProbedChainBitIdenticalOnEveryTier) {
     LevelGuard obs_guard(obs::Level::trace);
     const auto input = test_signal(0.2);
@@ -106,32 +106,29 @@ TEST(ProbeFusion, FullyProbedChainBitIdenticalOnEveryTier) {
     };
     const auto [ref_out, ref_taps] = run_probed(FuseMode::off, 64);
     for (const auto& t : ref_taps) ASSERT_EQ(t.size(), kSamples);
-    for (const FuseMode mode : {FuseMode::scalar, FuseMode::simd}) {
-        for (const std::size_t batch : kBatchSizes) {
-            const auto [out, taps] = run_probed(mode, batch);
-            for (std::size_t i = 0; i < out.size(); ++i) {
-                ASSERT_EQ(std::bit_cast<std::uint64_t>(ref_out[i]),
-                          std::bit_cast<std::uint64_t>(out[i]))
-                    << "output sample " << i << " batch " << batch;
-            }
-            ASSERT_EQ(taps.size(), ref_taps.size());
-            for (std::size_t b = 0; b < taps.size(); ++b) {
-                ASSERT_EQ(taps[b].size(), ref_taps[b].size()) << "boundary " << b;
-                for (std::size_t i = 0; i < taps[b].size(); ++i) {
-                    ASSERT_EQ(std::bit_cast<std::uint64_t>(ref_taps[b][i]),
-                              std::bit_cast<std::uint64_t>(taps[b][i]))
-                        << "boundary " << b << " sample " << i << " batch " << batch;
-                }
+    for (const std::size_t batch : kBatchSizes) {
+        const auto [out, taps] = run_probed(FuseMode::simd, batch);
+        for (std::size_t i = 0; i < out.size(); ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(ref_out[i]),
+                      std::bit_cast<std::uint64_t>(out[i]))
+                << "output sample " << i << " batch " << batch;
+        }
+        ASSERT_EQ(taps.size(), ref_taps.size());
+        for (std::size_t b = 0; b < taps.size(); ++b) {
+            ASSERT_EQ(taps[b].size(), ref_taps[b].size()) << "boundary " << b;
+            for (std::size_t i = 0; i < taps[b].size(); ++i) {
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(ref_taps[b][i]),
+                          std::bit_cast<std::uint64_t>(taps[b][i]))
+                    << "boundary " << b << " sample " << i << " batch " << batch;
             }
         }
     }
 }
 
 // One armed probe inside the linear run: the segmentation must split
-// there. Scalar tier: taps and output bit-identical. SIMD tier: the
-// upstream segment is reassociated, so the tapped stream carries the
-// per-signal tolerance — but every tapped sample must still be recorded
-// (no boundary skipped by the fused form).
+// there. The upstream segment is reassociated, so the tapped stream
+// carries the per-signal tolerance — but every tapped sample must still be
+// recorded (no boundary skipped by the fused form).
 TEST(ProbeFusion, PartiallyArmedProbeSplitsSegment) {
     LevelGuard obs_guard(obs::Level::trace);
     const auto input = test_signal(0.2);
@@ -161,27 +158,13 @@ TEST(ProbeFusion, PartiallyArmedProbeSplitsSegment) {
     for (const double v : ref_out) out_peak = std::max(out_peak, std::fabs(v));
 
     for (const std::size_t batch : kBatchSizes) {
-        {
-            const auto [out, tap] = run_partial(FuseMode::scalar, batch);
-            ASSERT_EQ(tap.size(), kSamples) << batch;
-            for (std::size_t i = 0; i < kSamples; ++i) {
-                ASSERT_EQ(std::bit_cast<std::uint64_t>(ref_tap[i]),
-                          std::bit_cast<std::uint64_t>(tap[i]))
-                    << "tap sample " << i << " batch " << batch;
-                ASSERT_EQ(std::bit_cast<std::uint64_t>(ref_out[i]),
-                          std::bit_cast<std::uint64_t>(out[i]))
-                    << "output sample " << i << " batch " << batch;
-            }
-        }
-        {
-            const auto [out, tap] = run_partial(FuseMode::simd, batch);
-            ASSERT_EQ(tap.size(), kSamples) << batch;
-            for (std::size_t i = 0; i < kSamples; ++i) {
-                ASSERT_LE(std::fabs(tap[i] - ref_tap[i]), kSimdEps * peak)
-                    << "tap sample " << i << " batch " << batch;
-                ASSERT_LE(std::fabs(out[i] - ref_out[i]), kSimdEps * out_peak)
-                    << "output sample " << i << " batch " << batch;
-            }
+        const auto [out, tap] = run_partial(FuseMode::simd, batch);
+        ASSERT_EQ(tap.size(), kSamples) << batch;
+        for (std::size_t i = 0; i < kSamples; ++i) {
+            ASSERT_LE(std::fabs(tap[i] - ref_tap[i]), kSimdEps * peak)
+                << "tap sample " << i << " batch " << batch;
+            ASSERT_LE(std::fabs(out[i] - ref_out[i]), kSimdEps * out_peak)
+                << "output sample " << i << " batch " << batch;
         }
     }
 }
@@ -192,7 +175,7 @@ TEST(ProbeFusion, PartiallyArmedProbeSplitsSegment) {
 TEST(ProbeFusion, ArmingMidStreamTakesEffectNextBatch) {
     LevelGuard obs_guard(obs::Level::trace);
     const auto input = test_signal(0.2);
-    FuseModeGuard guard(FuseMode::scalar);
+    FuseModeGuard guard(FuseMode::simd);
     const std::string prefix = "fusetest.midarm";
     auto chain = probed_chain();
     chain->attach_probes(prefix);

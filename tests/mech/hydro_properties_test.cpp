@@ -4,9 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "mech/hydrodynamics.hpp"
 #include "phys/fluid.hpp"
+
+namespace cbs::phys {
+
+// Print the parameter by name, not by address: gtest puts the printed value
+// in the listed test name, and an address would rename the test on every run.
+static void PrintTo(const Fluid* fluid, std::ostream* os) { *os << fluid->name; }
+
+}  // namespace cbs::phys
 
 namespace {
 
