@@ -13,14 +13,21 @@
 #pragma once
 
 #include <cstddef>
+#include <string_view>
 
 namespace cbs::sim {
 
 /// Default batch size when CBS_BATCH is unset.
 inline constexpr std::size_t kDefaultBatchSize = 64;
 
-/// Current batch size: the programmatic override if one is set, else the
-/// value parsed from CBS_BATCH (clamped to [1, 1 << 20]), else the default.
+/// Parses a CBS_BATCH value: empty -> kDefaultBatchSize, a decimal
+/// integer -> that value clamped to [1, 1 << 20]. Throws
+/// std::invalid_argument naming CBS_BATCH for anything else.
+[[nodiscard]] std::size_t parse_batch_size(std::string_view value);
+
+/// Current batch size: the programmatic override if one is set, else
+/// CBS_BATCH through parse_batch_size (unset -> the default). An invalid
+/// CBS_BATCH throws std::invalid_argument from the first call.
 [[nodiscard]] std::size_t batch_size();
 
 /// Programmatic override (thread-safe, read by every subsequent

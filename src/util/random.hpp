@@ -1,14 +1,21 @@
 // Deterministic, explicitly-seeded random number generation.
 //
 // Every stochastic component of the library takes an Rng (or a seed) so that
-// simulations, tests and benches are bit-reproducible run to run.
+// simulations, tests and benches are bit-reproducible run to run. The engine
+// is MT19937-64 (fully specified by the C++ standard) and the distributions
+// are implemented here, so a seeded sequence depends on libm's log/sqrt/exp
+// only — not on the standard library's unspecified distribution algorithms.
+// They reproduce libstdc++'s std::normal_distribution,
+// std::uniform_real_distribution and std::lognormal_distribution over
+// std::mt19937_64 bit for bit (tests/util/random_test.cpp), which is the
+// toolchain the pinned goldens were generated with.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <random>
 #include <span>
 
 namespace cbs {
@@ -37,92 +44,24 @@ inline double canonical_u64(std::uint64_t u) noexcept {
     return r;
 }
 
-/// One raw (unit) normal variate by the Marsaglia polar method, drawing
-/// engine words the way a freshly constructed std::normal_distribution
-/// does in libstdc++ (every call generates a full rejection-sampled pair
-/// and returns `y * mult`; the cached partner is discarded, which is
-/// exactly what `Rng::normal`'s construct-per-call pattern produces).
-template <typename Engine>
-inline double raw_normal_polar(Engine& engine) {
-    double x, y, r2;
-    do {
-        x = 2.0 * canonical_u64(engine()) - 1.0;
-        y = 2.0 * canonical_u64(engine()) - 1.0;
-        r2 = x * x + y * y;
-    } while (r2 > 1.0 || r2 == 0.0);
-    const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
-    return y * mult;
-}
-
-/// Startup self-check for the fast normal path: true when raw_normal_polar
-/// reproduces this standard library's std::normal_distribution bit for bit
-/// (the distribution's algorithm is implementation-defined, so a non-GNU
-/// standard library falls back to the portable per-draw path).
-inline bool fast_normal_matches_std() {
-    static const bool ok = [] {
-        std::mt19937_64 a(0x5eedfa57ULL);
-        std::mt19937_64 b = a;
-        for (int i = 0; i < 4096; ++i) {
-            const double fast = raw_normal_polar(a);
-            const double ref = std::normal_distribution<double>(0.0, 1.0)(b);
-            if (fast != ref) return false;
-        }
-        return true;
-    }();
-    return ok;
-}
-
-/// Exact inverse of the mt19937_64 tempering transform (a bijection on
-/// 64-bit words): recovers the raw state word from a tempered output. The
-/// shift-XOR steps with shift >= 32 invert in one application; the narrower
-/// ones invert by fixed-point iteration (each pass recovers 17 resp. 29
-/// more correct low/high bits, so 3 resp. 2 passes suffice).
-inline std::uint64_t untemper_mt64(std::uint64_t y) noexcept {
-    y ^= y >> 43;
-    y ^= (y << 37) & 0xFFF7EEE000000000ULL;
-    std::uint64_t x = y;
-    for (int i = 0; i < 3; ++i) x = y ^ ((x << 17) & 0x71D67FFFEDA60000ULL);
-    y = x;
-    x = y;
-    for (int i = 0; i < 2; ++i) x = y ^ ((x >> 29) & 0x5555555555555555ULL);
-    return x;
-}
-
-/// Word-identical replica of std::mt19937_64 that twists and tempers its
-/// state one whole 312-word block at a time instead of per call. The
-/// algorithm (MT19937-64) is fully specified by the standard, so the output
-/// sequence is guaranteed identical for any seed; regenerating in blocks
-/// lets the twist run branch-free (`-(x & 1) & A` instead of a data-
-/// dependent branch) and the temper pipeline across words, which is ~3.5x
-/// faster per word than the standard library's lazy per-call path. This is
-/// the engine behind the batched signal path's bulk noise draws.
+/// MT19937-64 that twists and tempers its state one whole 312-word block
+/// at a time instead of per call. The algorithm is fully specified by the
+/// standard, so the output is word-identical to std::mt19937_64 for any
+/// seed; regenerating in blocks lets the twist run branch-free
+/// (`-(x & 1) & A` instead of a data-dependent branch) and the temper
+/// pipeline across words, ~3.5x faster per word than the standard
+/// library's lazy per-call path.
 class BulkMt19937_64 {
 public:
     using result_type = std::uint64_t;
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~0ULL; }
 
-    explicit BulkMt19937_64(result_type seed = std::mt19937_64::default_seed) {
+    explicit BulkMt19937_64(result_type seed = 5489ULL) {
         state_[0] = seed;
         for (std::size_t i = 1; i < kN; ++i) {
             state_[i] = 6364136223846793005ULL * (state_[i - 1] ^ (state_[i - 1] >> 62)) + i;
         }
-        pos_ = kN;
-    }
-
-    /// Adopt the stream of a running std::mt19937_64 at its current
-    /// position: draws the engine's next 312 outputs, inverts the (bijective)
-    /// tempering to recover the raw state window, and continues the exact
-    /// word sequence from there. The consumed words are served back first,
-    /// so no output is lost — `import` is stream-transparent at any offset.
-    static BulkMt19937_64 import(std::mt19937_64& engine) {
-        BulkMt19937_64 m;
-        for (std::size_t i = 0; i < kN; ++i) {
-            m.out_[i] = engine();
-            m.state_[i] = untemper_mt64(m.out_[i]);
-        }
-        m.pos_ = 0;
-        return m;
     }
 
     result_type operator()() {
@@ -179,6 +118,31 @@ private:
     std::size_t pos_ = kN;
 };
 
+/// One accepted Marsaglia polar candidate: draws word pairs until (x, y)
+/// lies strictly inside the unit disc, stores r2 = x*x + y*y and returns y.
+/// Every rejection decision rests on r2, so it must round as mul/mul/add in
+/// every caller — the vector fill compiles with FP contraction off so this
+/// stays true when it is inlined into FMA-enabled code (random_fast.cpp).
+inline double polar_candidate(BulkMt19937_64& engine, double& r2) {
+    double x, y;
+    do {
+        x = 2.0 * canonical_u64(engine()) - 1.0;
+        y = 2.0 * canonical_u64(engine()) - 1.0;
+        r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    return y;
+}
+
+/// One raw (unit) normal variate by the Marsaglia polar method, drawing
+/// engine words the way a freshly constructed std::normal_distribution
+/// does in libstdc++ (every call generates a full rejection-sampled pair
+/// and returns `y * mult`; the partner `x * mult` is never used).
+inline double raw_normal_polar(BulkMt19937_64& engine) {
+    double r2;
+    const double y = polar_candidate(engine, r2);
+    return y * std::sqrt(-2.0 * std::log(r2) / r2);
+}
+
 }  // namespace detail
 
 /// Seeded pseudo-random generator with the distributions the library needs.
@@ -200,33 +164,22 @@ public:
 
     /// Uniform double in [lo, hi).
     double uniform(double lo = 0.0, double hi = 1.0) {
-        return draw(std::uniform_real_distribution<double>(lo, hi));
+        return detail::canonical_u64(engine_()) * (hi - lo) + lo;
     }
 
-    /// Gaussian with the given mean and standard deviation.
+    /// Gaussian with the given mean and standard deviation (sigma = 0
+    /// returns `mean` and still consumes one variate's words).
     double normal(double mean = 0.0, double sigma = 1.0) {
-        return draw(std::normal_distribution<double>(mean, sigma));
+        return detail::raw_normal_polar(engine_) * sigma + mean;
     }
 
     /// Bulk raw (unit) normal variates: consumes the engine exactly as the
     /// same number of `normal()` calls would, and `out[i] * sigma + mean`
     /// reproduces the i-th `normal(mean, sigma)` result bit for bit (the
-    /// scale-and-shift is the distribution's own final operation). This is
-    /// the batched signal path's draw source: the first fill migrates the
-    /// generator one-way onto the block-regenerating MT19937-64 replica
-    /// (word-identical stream, adopted mid-sequence by inverting the
-    /// tempering), and draws then flow through the branch-free canonical
-    /// converter — together ~2x faster per draw than per-call distribution
-    /// construction over the standard engine, without perturbing any seeded
-    /// sequence. Falls back to per-draw std::normal_distribution on
-    /// standard libraries whose algorithm the fast path cannot replicate.
+    /// scale-and-shift is normal()'s own final operation). This is the
+    /// batched signal path's draw source.
     void fill_raw_normal(std::span<double> out) {
-        ensure_bulk_mode();
-        if (!bulk_mode_) {
-            for (double& d : out) d = std::normal_distribution<double>(0.0, 1.0)(engine_);
-            return;
-        }
-        for (double& d : out) d = detail::raw_normal_polar(bulk_engine_);
+        for (double& d : out) d = detail::raw_normal_polar(engine_);
     }
 
     /// Bulk raw unit normals on the reassociated fast path (the CBS_FUSE
@@ -238,24 +191,8 @@ public:
     /// from the exact fill in the last bits (|rel err| < 1e-12 per draw;
     /// contract in DESIGN.md §11). Values are a pure function of the
     /// consumed words, independent of how a sequence of fills is split into
-    /// calls. Falls back to the exact fill when the CPU lacks AVX2+FMA or
-    /// the fast polar path cannot replicate this standard library.
+    /// calls. Falls back to the exact fill when the CPU lacks AVX2+FMA.
     void fill_raw_normal_fast(std::span<double> out);
-
-    /// One-way switch onto the block-regenerating fast engine (no-op when
-    /// already switched, or when the standard library's normal_distribution
-    /// algorithm is one the fast path cannot replicate). The word stream is
-    /// adopted mid-sequence, so every subsequent draw — scalar or bulk — is
-    /// bit-identical to what the standard engine would have produced; only
-    /// the words arrive ~3.5x faster. fill_raw_normal switches on first use;
-    /// callers that mix scalar draws with bulk fills may also switch
-    /// explicitly so the cheap draws benefit too.
-    void ensure_bulk_mode() {
-        if (!bulk_mode_ && detail::fast_normal_matches_std()) {
-            bulk_engine_ = detail::BulkMt19937_64::import(engine_);
-            bulk_mode_ = true;
-        }
-    }
 
     /// Log-normal parameterized by the mean and relative sigma of the
     /// *underlying value* (not of its logarithm); handy for process spreads.
@@ -263,48 +200,17 @@ public:
         const double cv2 = rel_sigma * rel_sigma;
         const double s2 = std::log1p(cv2);
         const double mu = std::log(mean) - 0.5 * s2;
-        return draw(std::lognormal_distribution<double>(mu, std::sqrt(s2)));
-    }
-
-    /// Poisson-distributed count.
-    std::uint64_t poisson(double mean) {
-        return draw(std::poisson_distribution<std::uint64_t>(mean));
-    }
-
-    /// Bernoulli trial.
-    bool bernoulli(double p) { return draw(std::bernoulli_distribution(p)); }
-
-    /// Uniform integer in [0, n).
-    std::uint64_t integer(std::uint64_t n) {
-        return draw(std::uniform_int_distribution<std::uint64_t>(0, n - 1));
-    }
-
-    /// Exponentially distributed waiting time with the given rate.
-    double exponential(double rate) {
-        return draw(std::exponential_distribution<double>(rate));
+        return std::exp(detail::raw_normal_polar(engine_) * std::sqrt(s2) + mu);
     }
 
     /// Derive an independent child generator (for per-component streams).
     Rng fork() { return Rng(raw_word()); }
 
-    /// One raw 64-bit engine word (the URBG output the distributions see).
-    std::uint64_t raw_word() { return bulk_mode_ ? bulk_engine_() : engine_(); }
+    /// One raw 64-bit engine word (the word the distributions consume).
+    std::uint64_t raw_word() { return engine_(); }
 
 private:
-    /// Both engines produce the same word stream (the bulk replica adopts
-    /// the standard engine's exact position on migration), and every
-    /// std::*_distribution consumes words only through the URBG interface
-    /// with identical min/max — so dispatching a distribution to whichever
-    /// engine is live yields bit-identical values either way. Scalar-only
-    /// generators never migrate and keep the standard engine's code path.
-    template <typename Dist>
-    typename Dist::result_type draw(Dist dist) {
-        return bulk_mode_ ? dist(bulk_engine_) : dist(engine_);
-    }
-
-    std::mt19937_64 engine_;
-    detail::BulkMt19937_64 bulk_engine_;
-    bool bulk_mode_ = false;
+    detail::BulkMt19937_64 engine_;
 };
 
 }  // namespace cbs

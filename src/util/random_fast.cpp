@@ -4,15 +4,20 @@
 // candidate pairs (x, y) in the unit square and reject those outside the
 // unit disc — pure engine-word consumption plus exactly-rounded arithmetic;
 // (2) transform each accepted pair by mult = sqrt(-2 log r2 / r2). Phase 1
-// is replicated here operation for operation with AVX2 (the products and
-// sums round identically to the scalar path, so every rejection decision —
-// and therefore the engine word stream — is bit-identical to
-// fill_raw_normal). Phase 2 is where the speed comes from: a vectorized
-// polynomial log replaces libm, trading the last ~2 bits of each draw
-// (|rel err| < 1e-12) for ~2.3x fewer cycles per draw. Every accepted pair
-// goes through the same polynomial evaluator — including tail pairs, padded
-// to a full vector — so a draw's value is a pure function of its engine
-// words, independent of how fills are batched.
+// is replicated here operation for operation with AVX2, and engine-block
+// tails and a fill's last few outputs go through the shared scalar
+// detail::polar_candidate. This file is compiled with -ffp-contract=off
+// (src/CMakeLists.txt): inside the avx2,fma target GCC would otherwise fuse
+// r2 = x*x + y*y into an FMA, in the vector sweep and in the inlined scalar
+// helper alike, and round r2 differently from fill_raw_normal. Without
+// contraction every r2 — and so every rejection decision and the engine
+// word stream — is bit-identical to fill_raw_normal. Phase 2 is where the
+// speed comes from: a vectorized polynomial log replaces libm, trading the
+// last ~2 bits of each draw (|rel err| < 1e-12) for ~2.3x fewer cycles per
+// draw. Every accepted pair goes through the same polynomial evaluator —
+// including tail pairs, padded to a full vector — so a draw's value is a
+// pure function of its engine words, and a sequence of fills is
+// bit-identical however it is split into calls.
 #include "util/random.hpp"
 
 #include <bit>
@@ -97,21 +102,6 @@ alignas(32) constexpr std::uint32_t kPackLut[16][8] = {
     {4, 5, 6, 7, 0, 1, 2, 3}, {0, 1, 4, 5, 6, 7, 2, 3}, {2, 3, 4, 5, 6, 7, 0, 1},
     {0, 1, 2, 3, 4, 5, 6, 7}};
 
-// One scalar polar candidate round: bit-identical arithmetic and word
-// consumption to the loop body in detail::raw_normal_polar. Used for
-// engine-block tails and the final few outputs (where a full SIMD sweep
-// could accept more pairs than are still needed and overrun the stream).
-inline void scalar_candidate(detail::BulkMt19937_64& e, double& y_out, double& r2_out) {
-    double x, y, r2;
-    do {
-        x = 2.0 * detail::canonical_u64(e()) - 1.0;
-        y = 2.0 * detail::canonical_u64(e()) - 1.0;
-        r2 = x * x + y * y;
-    } while (r2 > 1.0 || r2 == 0.0);
-    y_out = y;
-    r2_out = r2;
-}
-
 __attribute__((target("avx2,fma"))) void fill_fast_avx2(detail::BulkMt19937_64& e,
                                                         std::span<double> out) {
     constexpr std::size_t kStage = 1024;
@@ -128,7 +118,8 @@ __attribute__((target("avx2,fma"))) void fill_fast_avx2(detail::BulkMt19937_64& 
         while (count + 4 <= kStage && n - (done + count) >= 4) {
             const auto words = e.peek_block();
             if (words.size() < 8) {
-                scalar_candidate(e, ys[count], r2s[count]);
+                // Block tail: too few words left for a vector sweep.
+                ys[count] = detail::polar_candidate(e, r2s[count]);
                 ++count;
                 continue;
             }
@@ -143,8 +134,8 @@ __attribute__((target("avx2,fma"))) void fill_fast_avx2(detail::BulkMt19937_64& 
             const __m256d two = _mm256_set1_pd(2.0), one = _mm256_set1_pd(1.0);
             const __m256d x = _mm256_sub_pd(_mm256_mul_pd(two, canonical4(xw)), one);
             const __m256d y = _mm256_sub_pd(_mm256_mul_pd(two, canonical4(yw)), one);
-            // Scalar r2 is mul/mul/add (the baseline ISA has no FMA):
-            // replicate the shape or rejection decisions could diverge.
+            // mul/mul/add like polar_candidate (no contraction in this
+            // file), or rejection decisions could diverge.
             const __m256d r2 =
                 _mm256_add_pd(_mm256_mul_pd(x, x), _mm256_mul_pd(y, y));
             const __m256d ok = _mm256_andnot_pd(
@@ -162,7 +153,7 @@ __attribute__((target("avx2,fma"))) void fill_fast_avx2(detail::BulkMt19937_64& 
             e.advance(8);
         }
         while (count < 4 && done + count < n) {
-            scalar_candidate(e, ys[count], r2s[count]);
+            ys[count] = detail::polar_candidate(e, r2s[count]);
             ++count;
         }
         // Phase 2: out = y * sqrt(-2 log r2 / r2), all lanes through the
@@ -198,9 +189,8 @@ __attribute__((target("avx2,fma"))) void fill_fast_avx2(detail::BulkMt19937_64& 
 
 void Rng::fill_raw_normal_fast(std::span<double> out) {
 #if defined(CBS_RANDOM_FAST_X86)
-    ensure_bulk_mode();
-    if (bulk_mode_ && cpu_has_avx2_fma()) {
-        fill_fast_avx2(bulk_engine_, out);
+    if (cpu_has_avx2_fma()) {
+        fill_fast_avx2(engine_, out);
         return;
     }
 #endif

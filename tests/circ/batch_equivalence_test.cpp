@@ -3,9 +3,10 @@
 // Contract under test: for every block, process_block over any partition of
 // a sample stream produces BIT-IDENTICAL output and end state to calling
 // process per sample — including noise blocks, where the prefetched bulk
-// draws must reproduce the per-sample std::normal_distribution sequence
-// exactly. Batch sizes swept: {1, 2, 7, 64, 1024} (odd size 7 exercises
-// partitions that never align with internal strides).
+// draws must reproduce the per-sample Rng::normal sequence exactly (in-repo
+// polar method: it rests on libm's log/sqrt, not on the standard library's
+// distributions). Batch sizes swept: {1, 2, 7, 64, 1024} (odd size 7
+// exercises partitions that never align with internal strides).
 #include <gtest/gtest.h>
 
 #include <bit>

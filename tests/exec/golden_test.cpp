@@ -4,11 +4,13 @@
 //
 // Provenance and tolerances:
 //  * Goldens were generated by the serial reference path on x86-64
-//    gcc/libstdc++. std::mt19937_64 is portable; std::normal_distribution /
-//    std::lognormal_distribution are implementation-defined, so a different
-//    standard library is expected to need regeneration (run the scenario
-//    and paste the printed values) — that is a toolchain change, not a
-//    regression.
+//    gcc/libstdc++. cbs::Rng's engine (MT19937-64) and its distributions
+//    are in-repo code that reproduces libstdc++'s bit for bit
+//    (Rng.DistributionsMatchLibstdcxxBitwise), so the draws no longer
+//    depend on the standard library — only on libm's log/sqrt/exp. A libm
+//    whose results differ in the last bit is expected to need regeneration
+//    (run the scenario and paste the printed values) — that is a toolchain
+//    change, not a regression.
 //  * Relative tolerance 1e-9 on Monte-Carlo moments: SSE2 double math is
 //    bit-stable across optimization levels, so the slack only absorbs
 //    benign codegen drift; any change to the RNG streams, trial chunking

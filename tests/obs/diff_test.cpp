@@ -23,7 +23,7 @@ TEST(ObsDiff, BenchmarkTimeIncreaseBeyondThresholdRegresses) {
         {"name": "bm_chain", "real_time": 100.0, "items_per_second": 1e6}]})";
     const std::string cur = R"({"benchmarks": [
         {"name": "bm_chain", "real_time": 125.0, "items_per_second": 1e6}]})";
-    const auto r = diff_strings(base, cur, {.threshold = 0.10});
+    const auto r = diff_strings(base, cur, {.threshold = 0.10, .only = {}});
     EXPECT_EQ(r.regressions, 1u);
     ASSERT_EQ(r.rows.size(), 2u);
     EXPECT_EQ(r.rows[0].name, "bm_chain real_time");
@@ -39,7 +39,7 @@ TEST(ObsDiff, ThroughputDropRegressesButTimeDropDoesNot) {
     const std::string cur = R"({"benchmarks": [
         {"name": "bm", "real_time": 50.0, "items_per_second": 5e5,
          "bytes_per_second": 4e6}]})";
-    const auto r = diff_strings(base, cur, {.threshold = 0.10});
+    const auto r = diff_strings(base, cur, {.threshold = 0.10, .only = {}});
     // Faster time is an improvement; halved throughput regresses twice.
     EXPECT_EQ(r.regressions, 2u);
     EXPECT_FALSE(r.rows[0].regression);  // real_time down = better
@@ -50,8 +50,8 @@ TEST(ObsDiff, ChangesWithinThresholdAreOk) {
         {"name": "bm", "real_time": 100.0}]})";
     const std::string cur = R"({"benchmarks": [
         {"name": "bm", "real_time": 105.0}]})";
-    EXPECT_EQ(diff_strings(base, cur, {.threshold = 0.10}).regressions, 0u);
-    EXPECT_EQ(diff_strings(base, cur, {.threshold = 0.01}).regressions, 1u);
+    EXPECT_EQ(diff_strings(base, cur, {.threshold = 0.10, .only = {}}).regressions, 0u);
+    EXPECT_EQ(diff_strings(base, cur, {.threshold = 0.01, .only = {}}).regressions, 1u);
 }
 
 TEST(ObsDiff, MissingAndNewMetricsAreUnmatchedNotRegressions) {
@@ -78,7 +78,7 @@ TEST(ObsDiff, ReportProbeNonFiniteHasZeroTolerance) {
          "mean": 0.5, "stddev": 0.1}]})";
     // One NaN out of a thousand samples is far below any relative
     // threshold, but non_finite regresses on ANY increase.
-    const auto r = diff_strings(base, cur, {.threshold = 0.50});
+    const auto r = diff_strings(base, cur, {.threshold = 0.50, .only = {}});
     EXPECT_EQ(r.regressions, 1u);
     bool found = false;
     for (const auto& row : r.rows) {
@@ -101,7 +101,7 @@ TEST(ObsDiff, ReportProcessMeanIncreaseRegresses) {
         "processes": [{"name": "readout", "ticks": 100, "mean_us": 20.0,
                        "p99_us": 21.0}],
         "counters": {"sim.ticks": 100}})";
-    const auto r = diff_strings(base, cur, {.threshold = 0.25});
+    const auto r = diff_strings(base, cur, {.threshold = 0.25, .only = {}});
     EXPECT_EQ(r.regressions, 1u);  // mean doubled; p99 +5% within threshold
     // Counters have no harmful direction: never a regression.
     for (const auto& row : r.rows) {
@@ -120,17 +120,17 @@ TEST(ObsDiff, ExitCodeHonorsWarnOnly) {
     const std::string base = R"({"benchmarks": [{"name": "bm", "real_time": 10.0}]})";
     const std::string cur = R"({"benchmarks": [{"name": "bm", "real_time": 100.0}]})";
     const auto r = diff_strings(base, cur);
-    EXPECT_EQ(r.exit_code({.warn_only = false}), 1);
-    EXPECT_EQ(r.exit_code({.warn_only = true}), 0);
+    EXPECT_EQ(r.exit_code({.warn_only = false, .only = {}}), 1);
+    EXPECT_EQ(r.exit_code({.warn_only = true, .only = {}}), 0);
     const auto clean = diff_strings(base, base);
-    EXPECT_EQ(clean.exit_code({.warn_only = false}), 0);
+    EXPECT_EQ(clean.exit_code({.warn_only = false, .only = {}}), 0);
 }
 
 TEST(ObsDiff, RenderListsEveryRowAndSummary) {
     const std::string base = R"({"benchmarks": [
         {"name": "bm_a", "real_time": 10.0}, {"name": "bm_gone", "real_time": 1.0}]})";
     const std::string cur = R"({"benchmarks": [{"name": "bm_a", "real_time": 100.0}]})";
-    const obs::DiffOptions opts{.threshold = 0.10};
+    const obs::DiffOptions opts{.threshold = 0.10, .only = {}};
     const auto rendered = diff_strings(base, cur, opts).render(opts);
     EXPECT_NE(rendered.find("bm_a real_time"), std::string::npos);
     EXPECT_NE(rendered.find("REGRESSION"), std::string::npos);
@@ -146,7 +146,7 @@ TEST(ObsDiff, DiffFilesParsesBothInputs) {
         std::ofstream(base_path) << R"({"benchmarks": [{"name": "bm", "real_time": 10.0}]})";
         std::ofstream(cur_path) << R"({"benchmarks": [{"name": "bm", "real_time": 10.5}]})";
     }
-    const auto r = obs::diff_files(base_path, cur_path, {.threshold = 0.10});
+    const auto r = obs::diff_files(base_path, cur_path, {.threshold = 0.10, .only = {}});
     EXPECT_EQ(r.regressions, 0u);
     ASSERT_EQ(r.rows.size(), 1u);
     EXPECT_NEAR(r.rows[0].rel_delta, 0.05, 1e-12);
@@ -176,9 +176,9 @@ TEST(ObsDiff, BuildTypeMismatchIsFatalEvenWarnOnly) {
     EXPECT_NE(r.context_notes[0].find("release"), std::string::npos);
     EXPECT_NE(r.context_notes[0].find("debug"), std::string::npos);
     // Fatal regardless of warn-only; only the explicit override clears it.
-    EXPECT_EQ(r.exit_code({.warn_only = false}), 2);
-    EXPECT_EQ(r.exit_code({.warn_only = true}), 2);
-    EXPECT_EQ(r.exit_code({.warn_only = true, .allow_context_mismatch = true}), 0);
+    EXPECT_EQ(r.exit_code({.warn_only = false, .only = {}}), 2);
+    EXPECT_EQ(r.exit_code({.warn_only = true, .only = {}}), 2);
+    EXPECT_EQ(r.exit_code({.warn_only = true, .only = {}, .allow_context_mismatch = true}), 0);
 }
 
 TEST(ObsDiff, BuildTypeMismatchRendered) {
@@ -190,7 +190,7 @@ TEST(ObsDiff, BuildTypeMismatchRendered) {
         "benchmarks": [{"name": "bm", "real_time": 10.0}]})";
     const auto r = diff_strings(base, cur);
     EXPECT_NE(r.render({}).find("CONTEXT MISMATCH"), std::string::npos);
-    EXPECT_NE(r.render({.allow_context_mismatch = true}).find("overridden"),
+    EXPECT_NE(r.render({.only = {}, .allow_context_mismatch = true}).find("overridden"),
               std::string::npos);
 }
 

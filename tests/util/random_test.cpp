@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 #include "util/stats.hpp"
@@ -41,19 +45,6 @@ TEST(Rng, LognormalRelMatchesTargetMoments) {
     EXPECT_NEAR(stats::stddev(x) / 10.0, 0.05, 0.005);
 }
 
-TEST(Rng, PoissonMean) {
-    Rng rng(23);
-    double acc = 0.0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) acc += static_cast<double>(rng.poisson(7.5));
-    EXPECT_NEAR(acc / n, 7.5, 0.1);
-}
-
-TEST(Rng, IntegerInBounds) {
-    Rng rng(31);
-    for (int i = 0; i < 1000; ++i) EXPECT_LT(rng.integer(10), 10u);
-}
-
 TEST(Rng, ForkProducesIndependentStream) {
     Rng parent(77);
     Rng child = parent.fork();
@@ -65,12 +56,47 @@ TEST(Rng, ForkProducesIndependentStream) {
     EXPECT_LT(same, 3);
 }
 
-TEST(Rng, BernoulliProbability) {
-    Rng rng(41);
-    int hits = 0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
-    EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
+TEST(Rng, DistributionsMatchLibstdcxxBitwise) {
+    // The pinned goldens were generated with libstdc++'s distributions over
+    // std::mt19937_64; Rng's in-repo draws must reproduce them bit for bit.
+#if defined(__GLIBCXX__)
+    for (const std::uint64_t seed : {1ULL, 5489ULL, 2026ULL, 0xdeadbeefULL}) {
+        Rng rng(seed);
+        std::mt19937_64 ref(seed);
+        const double rel_sigma = 0.07;
+        const double s2 = std::log1p(rel_sigma * rel_sigma);
+        const double mu = std::log(3.5) - 0.5 * s2;
+        for (int i = 0; i < 20000; ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(rng.normal(0.25, 1.5)),
+                      std::bit_cast<std::uint64_t>(
+                          std::normal_distribution<double>(0.25, 1.5)(ref)))
+                << "normal draw " << i << " seed " << seed;
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(rng.uniform(-2.0, 5.0)),
+                      std::bit_cast<std::uint64_t>(
+                          std::uniform_real_distribution<double>(-2.0, 5.0)(ref)))
+                << "uniform draw " << i << " seed " << seed;
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(rng.lognormal_rel(3.5, rel_sigma)),
+                      std::bit_cast<std::uint64_t>(
+                          std::lognormal_distribution<double>(mu, std::sqrt(s2))(ref)))
+                << "lognormal draw " << i << " seed " << seed;
+        }
+        ASSERT_EQ(rng.raw_word(), ref()) << "seed " << seed;
+    }
+#else
+    GTEST_SKIP() << "reference distributions are libstdc++'s";
+#endif
+}
+
+TEST(Rng, ZeroSigmaNormalReturnsMeanAndKeepsStream) {
+    Rng zero(2026);
+    Rng unit(2026);
+    for (int i = 0; i < 1000; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(zero.normal(4.25, 0.0)),
+                  std::bit_cast<std::uint64_t>(4.25))
+            << "draw " << i;
+        (void)unit.normal(4.25, 1.0);
+    }
+    EXPECT_EQ(zero.raw_word(), unit.raw_word());
 }
 
 }  // namespace
