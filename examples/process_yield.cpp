@@ -5,7 +5,8 @@
 #include <chrono>
 #include <iostream>
 
-#include "core/array_sweep.hpp"
+#include "array/characterize.hpp"
+#include "array/grid.hpp"
 #include "core/chip.hpp"
 #include "exec/threadpool.hpp"
 #include "fab/drc.hpp"
@@ -107,12 +108,15 @@ int main() {
     core::ResonantSensorConfig array_sensor;
     array_sensor.oversample = 16.0;
     array_sensor.counter_gate = Time{0.02};
-    core::ArraySweepConfig array_cfg;
-    array_cfg.elements = 4;
+    array::ArrayConfig array_cfg;
+    array_cfg.rows = 1;
+    array_cfg.cols = 4;
     array_cfg.seed = 2026;
-    array_cfg.run_duration = Time{0.045};
-    const auto sweep = core::ArraySweep(array_sensor, mc, array_cfg).run(&pool);
-    const auto summary = core::ArraySweep::summarize(sweep);
+    const array::ArrayGrid array_grid(array_cfg, mc, &pool);
+    array::CharacterizeConfig characterize_cfg;
+    characterize_cfg.run_duration = Time{0.045};
+    const auto sweep = array::characterize(array_grid, array_sensor, characterize_cfg, &pool);
+    const auto summary = array::summarize(sweep);
     std::cout << "array sweep: " << summary.measured << "/" << summary.elements
               << " elements locked, mean readout "
               << ConsoleTable::si(summary.measured_mean_hz, 4, "Hz") << ", worst |error| "

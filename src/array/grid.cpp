@@ -13,7 +13,7 @@ namespace {
 
 /// Salt folded into the root seed for the bridge-mismatch streams, so the
 /// mismatch draws live on their own per-site streams and never shift the
-/// fabrication/loop streams shared with core::ArraySweep.
+/// fabrication/loop streams.
 constexpr std::uint64_t kMismatchSalt = 0x6d69736d61746368ULL;  // "mismatch"
 
 }  // namespace
@@ -33,9 +33,8 @@ ArrayGrid::ArrayGrid(const ArrayConfig& config, const fab::ProcessMonteCarlo& pr
         s.index = i;
         s.row = i / cfg_.cols;
         s.col = i % cfg_.cols;
-        // Identical draw order to a core::ArraySweep element: the whole
-        // stochastic fabrication history from (seed, i), then one raw word
-        // reserved for the site's closed-loop noise streams.
+        // The whole stochastic fabrication history from (seed, i), then one
+        // raw word reserved for the site's closed-loop noise streams.
         Rng rng = Rng::for_stream(cfg_.seed, i);
         s.sample = process.sample(rng);
         s.functional = s.sample.functional;

@@ -3,9 +3,8 @@
 // row/column-addressed biochips). An ArrayGrid holds rows*cols sites, each
 // with
 //  * its own fabricated geometry — site i (row-major) draws its whole
-//    fabrication history from Rng::for_stream(seed, i), exactly like a
-//    core::ArraySweep element, so a 1×N grid reproduces the legacy sweep
-//    bit for bit;
+//    fabrication history from Rng::for_stream(seed, i), so its draws
+//    depend on (seed, i) only, never on the thread count;
 //  * its own receptor functionalization — one bio::Coating per row
 //    (multiplexed assays: different receptors on different rows), with
 //    designated *reference columns* carrying blocked reference cantilevers
@@ -59,8 +58,8 @@ struct Site {
     bool reference = false;      ///< sits in a reference column
     fab::DeviceSample sample;    ///< as-etched geometry + resonance
     /// Raw engine word captured right after the fabrication draw; seeding a
-    /// generator from it reproduces the legacy ArraySweep element's
-    /// rng.fork() loop stream bit for bit (fork() == Rng(raw_word())).
+    /// generator from it gives the site's closed-loop noise stream, the
+    /// same one rng.fork() would (fork() == Rng(raw_word())).
     std::uint64_t loop_seed = 0;
     bio::Coating coating;
     double theta = 0.0;          ///< fractional receptor occupancy

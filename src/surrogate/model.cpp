@@ -1,6 +1,8 @@
 #include "surrogate/model.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 

@@ -18,9 +18,7 @@
 // (report().accepted == false), never silently used.
 #pragma once
 
-#include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstddef>
 #include <string>
 
@@ -117,49 +115,6 @@ private:
     ProcessBox box_;
     mech::CantileverGeometry nominal_;  ///< geometry template (material, w)
     util::ChebyshevTensor3 cheb_;
-    FitReport report_;
-};
-
-/// 1D static-chain surrogate: any smooth scalar chain response (gain,
-/// offset, noise figure) versus one process parameter, fitted through the
-/// same budget-validated contract. Used by core::characterization for the
-/// static signal chain.
-class StaticChainSurrogate {
-public:
-    template <typename F>
-    StaticChainSurrogate(double lo, double hi, std::size_t degree, F&& full, double budget)
-        : series_(util::ChebyshevSeries::fit(lo, hi, degree, full)) {
-        validate(full, budget);
-    }
-
-    [[nodiscard]] double eval(double x) const { return series_.eval(x); }
-    [[nodiscard]] const FitReport& report() const { return report_; }
-    [[nodiscard]] bool accepted() const { return report_.accepted; }
-    [[nodiscard]] const util::ChebyshevSeries& series() const { return series_; }
-
-private:
-    template <typename F>
-    void validate(F&& full, double budget) {
-        report_.degree = {series_.coefficients().size() - 1, 0, 0};
-        report_.node_count = series_.coefficients().size();
-        report_.error_budget = budget;
-        report_.truncation_estimate = series_.truncation_estimate();
-        // Off-node midpoints: between every adjacent pair of fit nodes.
-        const std::size_t n = series_.coefficients().size();
-        const double lo = series_.lo(), hi = series_.hi();
-        for (std::size_t k = 0; k + 1 < n; ++k) {
-            const double x = 0.5 * (util::ChebyshevSeries::node(k, n, lo, hi) +
-                                    util::ChebyshevSeries::node(k + 1, n, lo, hi));
-            const double ref = full(x);
-            const double err = std::abs(series_.eval(x) - ref) /
-                               std::max(std::abs(ref), 1e-300);
-            report_.max_rel_err = std::max(report_.max_rel_err, err);
-            ++report_.validation_points;
-        }
-        report_.accepted = report_.max_rel_err <= budget;
-    }
-
-    util::ChebyshevSeries series_;
     FitReport report_;
 };
 

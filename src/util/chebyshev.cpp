@@ -86,74 +86,11 @@ __attribute__((target("avx2,fma"))) void eval4_avx2(
 
 }  // namespace
 
-// ----------------------------------------------------------- ChebyshevSeries
-
-double ChebyshevSeries::node(std::size_t k, std::size_t n, double lo, double hi) {
+double chebyshev_node(std::size_t k, std::size_t n, double lo, double hi) {
     CBS_EXPECTS(k < n);
     const double u =
         std::cos(kPi * (static_cast<double>(k) + 0.5) / static_cast<double>(n));
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * u;
-}
-
-ChebyshevSeries ChebyshevSeries::fit(double lo, double hi, std::size_t degree,
-                                     const std::function<double(double)>& f) {
-    CBS_EXPECTS(static_cast<bool>(f));
-    const std::size_t n = degree + 1;
-    std::vector<double> values(n);
-    for (std::size_t k = 0; k < n; ++k) values[k] = f(node(k, n, lo, hi));
-    return fit_from_node_values(lo, hi, values);
-}
-
-ChebyshevSeries ChebyshevSeries::fit_from_node_values(double lo, double hi,
-                                                      const std::vector<double>& values) {
-    CBS_EXPECTS(hi > lo);
-    CBS_EXPECTS(!values.empty());
-    ChebyshevSeries s;
-    s.lo_ = lo;
-    s.hi_ = hi;
-    s.scale_ = 2.0 / (hi - lo);
-    s.offset_ = -(lo + hi) / (hi - lo);
-    s.c_.resize(values.size());
-    dct_pencil(values.data(), s.c_.data(), values.size(), 1);
-    return s;
-}
-
-double ChebyshevSeries::eval(double x) const {
-    CBS_EXPECTS(!c_.empty());
-    const double xc = std::fmin(std::fmax(x, lo_), hi_);
-    const double u = std::fma(xc, scale_, offset_);
-    double b1 = 0.0, b2 = 0.0;
-    for (std::size_t j = c_.size(); j-- > 1;) {
-        const double b0 = std::fma(2.0 * u, b1, c_[j] - b2);
-        b2 = b1;
-        b1 = b0;
-    }
-    return std::fma(u, b1, c_[0] - b2);
-}
-
-double ChebyshevSeries::derivative(double x) const {
-    CBS_EXPECTS(!c_.empty());
-    const std::size_t n = c_.size();
-    if (n == 1) return 0.0;
-    // d_{j-1} = d_{j+1} + 2 j c_j (derivative coefficients, descending j).
-    std::vector<double> d(n - 1, 0.0);
-    for (std::size_t j = n - 1; j >= 1; --j) {
-        d[j - 1] = (j + 1 < n - 1 ? d[j + 1] : 0.0) + 2.0 * static_cast<double>(j) * c_[j];
-    }
-    d[0] *= 0.5;
-    ChebyshevSeries ds;
-    ds.lo_ = lo_;
-    ds.hi_ = hi_;
-    ds.scale_ = scale_;
-    ds.offset_ = offset_;
-    ds.c_ = std::move(d);
-    return ds.eval(x) * scale_;
-}
-
-double ChebyshevSeries::truncation_estimate() const {
-    const std::size_t n = c_.size();
-    if (n < 2) return 0.0;
-    return std::abs(c_[n - 1]) + std::abs(c_[n - 2]);
 }
 
 // ---------------------------------------------------------- ChebyshevTensor3
@@ -164,11 +101,11 @@ std::vector<std::array<double, 3>> ChebyshevTensor3::nodes(
     std::vector<std::array<double, 3>> out;
     out.reserve(n0 * n1 * n2);
     for (std::size_t i = 0; i < n0; ++i) {
-        const double a = ChebyshevSeries::node(i, n0, box.lo[0], box.hi[0]);
+        const double a = chebyshev_node(i, n0, box.lo[0], box.hi[0]);
         for (std::size_t j = 0; j < n1; ++j) {
-            const double b = ChebyshevSeries::node(j, n1, box.lo[1], box.hi[1]);
+            const double b = chebyshev_node(j, n1, box.lo[1], box.hi[1]);
             for (std::size_t k = 0; k < n2; ++k) {
-                out.push_back({a, b, ChebyshevSeries::node(k, n2, box.lo[2], box.hi[2])});
+                out.push_back({a, b, chebyshev_node(k, n2, box.lo[2], box.hi[2])});
             }
         }
     }

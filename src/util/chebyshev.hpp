@@ -1,11 +1,8 @@
 // Chebyshev-series surrogates: fit once at Chebyshev-Gauss nodes, evaluate
 // millions of times.
 //
-// Two shapes cover the library's surrogate needs (DESIGN.md §14):
-//   * ChebyshevSeries    — 1D interpolant of f on [a, b] (static-chain gain
-//                          and responsivity vs. a process parameter),
-//   * ChebyshevTensor3   — 3D tensor-product interpolant over a box (the
-//                          Monte-Carlo resonance surrogate in z-space).
+// ChebyshevTensor3 is a 3D tensor-product interpolant over a box: the
+// Monte-Carlo resonance surrogate in z-space (DESIGN.md §14).
 //
 // Fitting samples f at the Chebyshev-Gauss nodes x_k = cos(pi (k+1/2) / n)
 // and recovers coefficients by the discrete cosine transform, which is the
@@ -31,49 +28,9 @@
 
 namespace cbs::util {
 
-/// 1D Chebyshev interpolant of degree n-1 on [lo, hi], fit at n
-/// Chebyshev-Gauss nodes.
-class ChebyshevSeries {
-public:
-    ChebyshevSeries() = default;
-
-    /// Samples f at the n Chebyshev-Gauss nodes of [lo, hi] (n = degree+1)
-    /// and projects onto the Chebyshev basis. Requires hi > lo, degree >= 0.
-    static ChebyshevSeries fit(double lo, double hi, std::size_t degree,
-                               const std::function<double(double)>& f);
-
-    /// Builds from node values f(node(k, n, lo, hi)), k = 0..n-1 (callers
-    /// that evaluate nodes in parallel feed the results back through this).
-    static ChebyshevSeries fit_from_node_values(double lo, double hi,
-                                                const std::vector<double>& values);
-
-    /// The k-th Chebyshev-Gauss node of [lo, hi] for an n-point fit.
-    [[nodiscard]] static double node(std::size_t k, std::size_t n, double lo, double hi);
-
-    /// Clenshaw evaluation at x (x is clamped to [lo, hi]).
-    [[nodiscard]] double eval(double x) const;
-
-    /// Derivative at x via the Chebyshev derivative recurrence.
-    [[nodiscard]] double derivative(double x) const;
-
-    /// Magnitude of the trailing two coefficients — an a-posteriori
-    /// truncation-error estimate for geometrically-decaying (analytic) f.
-    [[nodiscard]] double truncation_estimate() const;
-
-    [[nodiscard]] const std::vector<double>& coefficients() const { return c_; }
-    [[nodiscard]] double lo() const { return lo_; }
-    [[nodiscard]] double hi() const { return hi_; }
-    [[nodiscard]] bool empty() const { return c_.empty(); }
-
-private:
-    std::vector<double> c_;  ///< c_[j] multiplies T_j(u(x))
-    double lo_ = 0.0;
-    double hi_ = 1.0;
-    // Affine map x -> u in [-1, 1]: u = fma(x, scale, offset); precomputed
-    // so eval and the SIMD kernels share the exact same two constants.
-    double scale_ = 1.0;
-    double offset_ = 0.0;
-};
+/// The k-th Chebyshev-Gauss node of [lo, hi] for an n-point fit:
+/// 0.5 (lo + hi) + 0.5 (hi - lo) cos(pi (k + 1/2) / n). Requires k < n.
+[[nodiscard]] double chebyshev_node(std::size_t k, std::size_t n, double lo, double hi);
 
 /// 3D tensor-product Chebyshev interpolant on a box.
 class ChebyshevTensor3 {
@@ -117,8 +74,9 @@ public:
     void eval_many(const double* x0, const double* x1, const double* x2, double* out,
                    std::size_t n) const;
 
-    /// Max over axes of the trailing-coefficient magnitude (see
-    /// ChebyshevSeries::truncation_estimate).
+    /// Max over axes of the L1 mass of the highest-order coefficient slice —
+    /// an a-posteriori truncation-error estimate for geometrically-decaying
+    /// (analytic) f.
     [[nodiscard]] double truncation_estimate() const;
 
     [[nodiscard]] const Box& box() const { return box_; }

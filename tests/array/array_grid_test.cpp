@@ -75,10 +75,10 @@ TEST(ArrayGrid, RowCoatingsAndReferenceColumns) {
     }
 }
 
-TEST(ArrayGrid, OneByNSitesMatchArraySweepElementStreams) {
-    // The 1×N grid is the ArraySweep compatibility case: site i must draw
-    // the exact fabrication stream Rng::for_stream(seed, i) and reserve the
-    // next raw word as the loop seed (== rng.fork() in the legacy code).
+TEST(ArrayGrid, OneByNSitesDrawPerIndexStreams) {
+    // Site i of a 1×N grid must draw the exact fabrication stream
+    // Rng::for_stream(seed, i) and reserve the next raw word as the loop
+    // seed (== rng.fork()).
     const auto mc = make_mc();
     array::ArrayConfig cfg;
     cfg.rows = 1;

@@ -1,13 +1,15 @@
-// Per-element observability in array sweeps: with per_element_probes on,
-// every element gets its own probe scope ("<root>.e<i>.*") so taps,
-// watchdogs and fault events stay attributable to the element that raised
-// them even when elements shard across ThreadPool workers.
+// Per-site observability in array characterization: with per_site_probes
+// on, every site gets its own probe scope ("<root>.r<row>c<col>.*") so taps,
+// watchdogs and fault events stay attributable to the site that raised
+// them even when sites shard across ThreadPool workers.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
-#include "core/array_sweep.hpp"
+#include "array/characterize.hpp"
+#include "array/grid.hpp"
 #include "core/resonant_sensor.hpp"
 #include "fab/montecarlo.hpp"
 #include "obs/events.hpp"
@@ -51,26 +53,32 @@ core::ResonantSensorConfig fast_sensor_config() {
     return cfg;
 }
 
+/// Characterizes a 1×2 grid (seed 2026) serially with short runs.
+std::vector<array::SiteResult> characterize_pair(const array::CharacterizeConfig& ch) {
+    array::ArrayConfig grid_cfg;
+    grid_cfg.rows = 1;
+    grid_cfg.cols = 2;
+    grid_cfg.seed = 2026;
+    const array::ArrayGrid grid(grid_cfg, make_mc(), nullptr);
+    return array::characterize(grid, fast_sensor_config(), ch, nullptr);
+}
+
 TEST(ArrayHealth, PerElementProbesRecordSeparableStreams) {
     const LevelGuard guard(obs::Level::summary);
     const SpecGuard spec("t.arrh.*");
-    const auto mc = make_mc();
-    core::ArraySweepConfig cfg;
-    cfg.elements = 2;
-    cfg.seed = 2026;
-    cfg.run_duration = Time{0.045};
-    cfg.per_element_probes = true;
-    cfg.probe_scope = "t.arrh";
-    const core::ArraySweep sweep(fast_sensor_config(), mc, cfg);
-    const auto results = sweep.run(nullptr);
+    array::CharacterizeConfig ch;
+    ch.run_duration = Time{0.045};
+    ch.per_site_probes = true;
+    ch.probe_scope = "t.arrh";
+    const auto results = characterize_pair(ch);
     ASSERT_EQ(results.size(), 2u);
     auto& reg = obs::ProbeRegistry::instance();
     for (std::size_t e = 0; e < results.size(); ++e) {
         if (!results[e].functional) continue;
-        const obs::Probe* loop = reg.find("t.arrh.e" + std::to_string(e) + ".loop");
-        ASSERT_NE(loop, nullptr) << "element " << e;
-        EXPECT_GT(loop->stats().n, 0u) << "element " << e;
-        EXPECT_EQ(loop->stats().non_finite, 0u) << "element " << e;
+        const obs::Probe* loop = reg.find("t.arrh.r0c" + std::to_string(e) + ".loop");
+        ASSERT_NE(loop, nullptr) << "site " << e;
+        EXPECT_GT(loop->stats().n, 0u) << "site " << e;
+        EXPECT_EQ(loop->stats().non_finite, 0u) << "site " << e;
     }
 }
 
@@ -78,41 +86,60 @@ TEST(ArrayHealth, FaultEventsAttributeToTheRaisingElement) {
     const LevelGuard guard(obs::Level::summary);
     auto& log = obs::EventLog::instance();
     log.clear();
-    // Element 0's scope carries a fault; element 1's stays clean. (Raised
+    // Site (0,0)'s scope carries a fault; site (0,1)'s stays clean. (Raised
     // directly into the log: the attribution path — count_for_prefix per
-    // element scope — is what's under test, not the signal physics.)
-    log.append({obs::Severity::fault, "range", "t.arrf.e0.loop", 123, 9.9, "synthetic"});
-    log.append({obs::Severity::warning, "drift", "t.arrf.e1.loop", 5, 0.1, "synthetic"});
+    // site scope — is what's under test, not the signal physics.)
+    log.append({obs::Severity::fault, "range", "t.arrf.r0c0.loop", 123, 9.9, "synthetic"});
+    log.append({obs::Severity::warning, "drift", "t.arrf.r0c1.loop", 5, 0.1, "synthetic"});
 
-    const auto mc = make_mc();
-    core::ArraySweepConfig cfg;
-    cfg.elements = 2;
-    cfg.seed = 2026;
-    cfg.run_duration = Time{0.045};
-    cfg.per_element_probes = true;
-    cfg.probe_scope = "t.arrf";
-    const core::ArraySweep sweep(fast_sensor_config(), mc, cfg);
-    const auto results = sweep.run(nullptr);
+    array::CharacterizeConfig ch;
+    ch.run_duration = Time{0.045};
+    ch.per_site_probes = true;
+    ch.probe_scope = "t.arrf";
+    const auto results = characterize_pair(ch);
     ASSERT_EQ(results.size(), 2u);
-    EXPECT_GE(results[0].fault_events, 1u);   // the fault lands on element 0
+    EXPECT_GE(results[0].fault_events, 1u);   // the fault lands on site (0,0)
     EXPECT_EQ(results[1].fault_events, 0u);   // a warning is not a fault
-    const auto summary = core::ArraySweep::summarize(results);
+    const auto summary = array::summarize(results);
     EXPECT_EQ(summary.faulted, 1u);
+    log.clear();
+}
+
+TEST(ArrayHealth, FaultEventsStayWithTheirColumnPastTen) {
+    const LevelGuard guard(obs::Level::summary);
+    auto& log = obs::EventLog::instance();
+    log.clear();
+    // "t.arrc.r0c1" is a string prefix of "t.arrc.r0c10.loop": the fault
+    // raised under column 10 must not be counted for column 1 too.
+    log.append({obs::Severity::fault, "range", "t.arrc.r0c10.loop", 7, 9.9, "synthetic"});
+
+    array::ArrayConfig grid_cfg;
+    grid_cfg.rows = 1;
+    grid_cfg.cols = 11;
+    grid_cfg.seed = 2026;
+    const array::ArrayGrid grid(grid_cfg, make_mc(), nullptr);
+    array::CharacterizeConfig ch;
+    ch.run_duration = Time{1e-3};  // attribution only; no counter gate needed
+    ch.per_site_probes = true;
+    ch.probe_scope = "t.arrc";
+    const auto results = array::characterize(grid, fast_sensor_config(), ch, nullptr);
+    ASSERT_EQ(results.size(), 11u);
+    ASSERT_TRUE(results[1].functional);
+    ASSERT_TRUE(results[10].functional);
+    EXPECT_EQ(results[1].fault_events, 0u);
+    EXPECT_EQ(results[10].fault_events, 1u);
+    EXPECT_EQ(array::summarize(results).faulted, 1u);
     log.clear();
 }
 
 TEST(ArrayHealth, ProbesOffByDefaultKeepsRegistryLean) {
     const LevelGuard guard(obs::Level::summary);
-    const auto mc = make_mc();
-    core::ArraySweepConfig cfg;
-    cfg.elements = 2;
-    cfg.seed = 2026;
-    cfg.run_duration = Time{0.045};
-    cfg.probe_scope = "t.arrlean";  // per_element_probes stays false
-    const core::ArraySweep sweep(fast_sensor_config(), mc, cfg);
-    const auto results = sweep.run(nullptr);
+    array::CharacterizeConfig ch;
+    ch.run_duration = Time{0.045};
+    ch.probe_scope = "t.arrlean";  // per_site_probes stays false
+    const auto results = characterize_pair(ch);
     ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(obs::ProbeRegistry::instance().find("t.arrlean.e0.loop"), nullptr);
+    EXPECT_EQ(obs::ProbeRegistry::instance().find("t.arrlean.r0c0.loop"), nullptr);
     for (const auto& r : results) EXPECT_EQ(r.fault_events, 0u);
 }
 

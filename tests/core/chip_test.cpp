@@ -1,38 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "core/chip.hpp"
-#include "core/lod.hpp"
-#include "util/expect.hpp"
 
 namespace {
 
 using namespace cbs;
 using namespace cbs::core;
-
-TEST(Lod, ThreeSigmaOverSlope) {
-    const std::vector<double> blanks{0.0, 1.0, -1.0, 0.5, -0.5};  // sigma ~ 0.79
-    const std::vector<double> conc{0.0, 1.0, 2.0, 3.0};
-    const std::vector<double> sig{0.0, 10.0, 20.0, 30.0};  // slope 10
-    const auto e = limit_of_detection(blanks, conc, sig);
-    EXPECT_NEAR(e.slope, 10.0, 1e-9);
-    EXPECT_NEAR(e.lod_molar, 3.0 * e.baseline_sigma / 10.0, 1e-12);
-}
-
-TEST(Lod, UnitHelpers) {
-    LodEstimate e;
-    e.lod_molar = 1e-6;  // 1e-6 mol/m^3 = 1 nM
-    EXPECT_NEAR(e.lod_nanomolar(), 1.0, 1e-9);
-    EXPECT_NEAR(e.lod_picomolar(), 1000.0, 1e-6);
-}
-
-TEST(Lod, RequiresEnoughData) {
-    const std::vector<double> two{1.0, 2.0};
-    const std::vector<double> c{0.0, 1.0};
-    const std::vector<double> s{0.0, 1.0};
-    EXPECT_THROW(limit_of_detection(two, c, s), ContractViolation);
-}
 
 TEST(Chip, BudgetPlausible) {
     const BiosensorChip chip(StaticSensorConfig{}, ResonantSensorConfig{}, Rng(1));

@@ -4,9 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/comparison.hpp"
-#include "core/characterization.hpp"
 #include "core/chip.hpp"
-#include "core/lod.hpp"
 #include "fab/drc.hpp"
 #include "fab/layout_gen.hpp"
 #include "fab/ruledeck.hpp"
@@ -18,8 +16,8 @@ using namespace cbs::core;
 using namespace cbs::literals;
 
 TEST(Integration, FabToWorkingOscillator) {
-    // Fabricate a device, characterize it open loop, then close the loop
-    // and verify both agree on the resonance.
+    // Fabricate a device, close the loop around it, and verify the loop
+    // locks onto the fabricated die's own resonance.
     const fab::ProcessMonteCarlo mc(mech::resonant_default(), fab::KohEtchConfig{},
                                     fab::ProcessVariation{},
                                     fab::EtchMode::electrochemical_stop);
@@ -27,19 +25,14 @@ TEST(Integration, FabToWorkingOscillator) {
     const auto device = mc.sample(rng);
     ASSERT_TRUE(device.functional);
 
-    OpenLoopAnalyzer::Config ol;
-    ol.geometry = device.geometry;
-    OpenLoopAnalyzer analyzer(ol, Rng(22));
-    const auto fit = analyzer.characterize(21);
-
     auto sensor = BiosensorChip::from_fabricated(ResonantSensorConfig{}, device, Rng(23));
     ASSERT_TRUE(sensor.has_value());
     const auto ms = sensor->run(0.3_s);
     ASSERT_FALSE(ms.empty());
 
-    // Open-loop characterization and the closed loop agree within 0.5%.
-    EXPECT_NEAR(ms.back().frequency_hz, fit.resonance.value(),
-                0.005 * fit.resonance.value());
+    // The closed loop reads the die's expected resonance within 0.5%.
+    const double expected = sensor->expected_resonance().value();
+    EXPECT_NEAR(ms.back().frequency_hz, expected, 0.005 * expected);
 }
 
 TEST(Integration, StaticAssayDetectsAtTenNanomolarNotAtBlank) {
@@ -58,32 +51,6 @@ TEST(Integration, StaticAssayDetectsAtTenNanomolarNotAtBlank) {
     const double dosed = sys.differential(0, 3).value();
     EXPECT_GT(dosed, 15e-3);
     EXPECT_GT(dosed, 5.0 * std::fabs(blank));
-}
-
-TEST(Integration, LodPipelineFromMeasuredNoise) {
-    StaticCantileverSystem sys(StaticSensorConfig{}, Rng(41));
-    sys.calibrate_offsets();
-    // Blanks.
-    std::vector<double> blanks;
-    for (int i = 0; i < 12; ++i) {
-        const double v = sys.read_channel(0).output.value();
-        if (i >= 2) blanks.push_back(v);
-    }
-    // Calibration curve from the forward model (responsivity x isotherm).
-    std::vector<double> conc, sig;
-    const bio::LangmuirKinetics kinetics(sys.coating(0).target);
-    for (double c_nm : {1.0, 3.0, 10.0, 30.0}) {
-        const MolarConcentration c{c_nm * 1e-6};
-        conc.push_back(c.value());
-        const double stress =
-            sys.coating(0).surface_stress(kinetics.equilibrium_coverage(c)).value();
-        sig.push_back(stress * sys.stress_responsivity().value());
-    }
-    const auto lod = limit_of_detection(blanks, conc, sig);
-    // Sub-10-nM detection with this chain (the isotherm is sublinear over
-    // the fit range, which inflates the effective slope a little).
-    EXPECT_GT(lod.lod_nanomolar(), 0.001);
-    EXPECT_LT(lod.lod_nanomolar(), 10.0);
 }
 
 TEST(Integration, ChipBudgetAndLayoutConsistent) {

@@ -11,7 +11,6 @@
 
 #include "circ/filters.hpp"
 #include "daq/counter.hpp"
-#include "daq/lockin.hpp"
 #include "util/constants.hpp"
 #include "util/units.hpp"
 
@@ -106,32 +105,6 @@ TEST(CounterFeedBlock, CrossingSplitExactlyBetweenTwoBatches) {
         counter.feed_block(ts.subspan(split), vs.subspan(split), out);
         expect_same_measurements(reference, out);
     }
-}
-
-TEST(LockInFeedBlock, MatchesPerSampleFeedBitwise) {
-    const double fs = 100e3;
-    const double f_sig = 5e3;
-    LockInAmplifier reference(Frequency{f_sig}, Frequency{100.0}, fs);
-    LockInAmplifier batched(Frequency{f_sig}, Frequency{100.0}, fs);
-    const std::size_t n = 4096;
-    std::vector<double> t(n);
-    std::vector<double> v(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        t[i] = static_cast<double>(i) / fs;
-        v[i] = 0.8 * std::sin(2.0 * constants::pi * f_sig * t[i] + 0.3);
-    }
-    for (std::size_t i = 0; i < n; ++i) reference.feed(t[i], v[i]);
-    const std::span<const double> ts(t);
-    const std::span<const double> vs(v);
-    for (std::size_t i = 0; i < n; i += 7) {
-        const std::size_t m = std::min<std::size_t>(7, n - i);
-        batched.feed_block(ts.subspan(i, m), vs.subspan(i, m));
-    }
-    EXPECT_EQ(reference.i(), batched.i());
-    EXPECT_EQ(reference.q(), batched.q());
-    EXPECT_EQ(reference.samples_since_reset(), batched.samples_since_reset());
-    // And the settled outputs mean something: magnitude ~ the tone's peak.
-    EXPECT_NEAR(batched.magnitude(), 0.8, 0.05);
 }
 
 }  // namespace

@@ -10,7 +10,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/array_sweep.hpp"
+#include "array/characterize.hpp"
+#include "array/grid.hpp"
 #include "exec/threadpool.hpp"
 #include "fab/montecarlo.hpp"
 #include "mech/geometry.hpp"
@@ -119,13 +120,7 @@ TEST(ExecDeterminism, MonteCarloDifferentSeedsDiffer) {
 
 // ---- Array sweep -----------------------------------------------------------
 
-core::ArraySweepConfig fast_sweep_config() {
-    core::ArraySweepConfig cfg;
-    cfg.elements = 3;
-    cfg.seed = 2026;
-    cfg.run_duration = Time{0.045};
-    return cfg;
-}
+constexpr std::size_t kSweepSites = 3;
 
 core::ResonantSensorConfig fast_sensor_config() {
     core::ResonantSensorConfig cfg;
@@ -134,8 +129,21 @@ core::ResonantSensorConfig fast_sensor_config() {
     return cfg;
 }
 
-void expect_bit_identical(const std::vector<core::ArrayElementResult>& a,
-                          const std::vector<core::ArrayElementResult>& b) {
+/// Fabricates a 1×kSweepSites grid (seed 2026) and characterizes it, both
+/// on `pool` (nullptr = serial).
+std::vector<array::SiteResult> sweep(const fab::ProcessMonteCarlo& mc, ThreadPool* pool) {
+    array::ArrayConfig grid_cfg;
+    grid_cfg.rows = 1;
+    grid_cfg.cols = kSweepSites;
+    grid_cfg.seed = 2026;
+    const array::ArrayGrid grid(grid_cfg, mc, pool);
+    array::CharacterizeConfig ch;
+    ch.run_duration = Time{0.045};
+    return array::characterize(grid, fast_sensor_config(), ch, pool);
+}
+
+void expect_bit_identical(const std::vector<array::SiteResult>& a,
+                          const std::vector<array::SiteResult>& b) {
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         SCOPED_TRACE("element " + std::to_string(i));
@@ -155,21 +163,19 @@ void expect_bit_identical(const std::vector<core::ArrayElementResult>& a,
 
 TEST(ExecDeterminism, ArraySweepBitIdenticalAcrossThreadCounts) {
     const auto mc = make_mc();
-    const core::ArraySweep sweep(fast_sensor_config(), mc, fast_sweep_config());
-    const auto serial = sweep.run(nullptr);
-    ASSERT_EQ(serial.size(), fast_sweep_config().elements);
+    const auto serial = sweep(mc, nullptr);
+    ASSERT_EQ(serial.size(), kSweepSites);
     for (std::size_t threads : {1u, 2u, 8u}) {
         ThreadPool pool(threads);
         SCOPED_TRACE("threads=" + std::to_string(threads));
-        expect_bit_identical(serial, sweep.run(&pool));
+        expect_bit_identical(serial, sweep(mc, &pool));
     }
 }
 
 TEST(ExecDeterminism, ArraySweepElementsMeasure) {
     const auto mc = make_mc();
-    const core::ArraySweep sweep(fast_sensor_config(), mc, fast_sweep_config());
-    const auto results = sweep.run(nullptr);
-    const auto summary = core::ArraySweep::summarize(results);
+    const auto results = sweep(mc, nullptr);
+    const auto summary = array::summarize(results);
     EXPECT_EQ(summary.elements, results.size());
     EXPECT_GT(summary.functional, 0u);
     EXPECT_GT(summary.measured, 0u);

@@ -10,9 +10,9 @@
 #include <thread>
 #include <vector>
 
+#include "array/characterize.hpp"
 #include "array/grid.hpp"
 #include "array/scan.hpp"
-#include "core/array_sweep.hpp"
 #include "exec/threadpool.hpp"
 #include "fab/montecarlo.hpp"
 #include "mech/geometry.hpp"
@@ -47,15 +47,20 @@ TEST(ExecStress, RepeatedArraySweepBitIdentical) {
     core::ResonantSensorConfig sensor;
     sensor.oversample = 16.0;
     sensor.counter_gate = Time{0.02};
-    core::ArraySweepConfig cfg;
-    cfg.elements = 6;
-    cfg.seed = 7;
-    cfg.run_duration = Time{0.045};
-    const core::ArraySweep sweep(sensor, mc, cfg);
+    array::ArrayConfig grid_cfg;
+    grid_cfg.rows = 1;
+    grid_cfg.cols = 6;
+    grid_cfg.seed = 7;
+    array::CharacterizeConfig ch;
+    ch.run_duration = Time{0.045};
     ThreadPool pool(8);
-    const auto first = sweep.run(&pool);
+    auto sweep = [&] {
+        const array::ArrayGrid grid(grid_cfg, mc, &pool);
+        return array::characterize(grid, sensor, ch, &pool);
+    };
+    const auto first = sweep();
     for (int rep = 0; rep < 5; ++rep) {
-        const auto again = sweep.run(&pool);
+        const auto again = sweep();
         ASSERT_EQ(first.size(), again.size());
         for (std::size_t i = 0; i < first.size(); ++i) {
             ASSERT_EQ(bits(first[i].measured_hz), bits(again[i].measured_hz))

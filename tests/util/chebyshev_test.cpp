@@ -5,85 +5,20 @@
 #include <cmath>
 #include <vector>
 
-#include "util/expect.hpp"
-
 namespace {
 
-using cbs::util::ChebyshevSeries;
+using cbs::util::chebyshev_node;
 using cbs::util::ChebyshevTensor3;
 
-TEST(ChebyshevSeries, ReproducesPolynomialExactly) {
-    // A degree-3 polynomial is represented exactly by a degree-3 fit.
-    auto f = [](double x) { return 2.0 + x - 3.0 * x * x + 0.5 * x * x * x; };
-    const auto s = ChebyshevSeries::fit(-2.0, 5.0, 3, f);
-    for (double x = -2.0; x <= 5.0; x += 0.173) {
-        EXPECT_NEAR(s.eval(x), f(x), 1e-12 * std::max(1.0, std::abs(f(x))));
-    }
-}
-
-TEST(ChebyshevSeries, ConvergesGeometricallyOnAnalyticFunction) {
-    auto f = [](double x) { return std::exp(std::sin(3.0 * x)); };
-    double prev_err = 1e300;
-    for (std::size_t degree : {8u, 16u, 32u, 64u}) {
-        const auto s = ChebyshevSeries::fit(-1.0, 2.0, degree, f);
-        double err = 0.0;
-        for (double x = -1.0; x <= 2.0; x += 0.01) {
-            err = std::max(err, std::abs(s.eval(x) - f(x)));
-        }
-        EXPECT_LT(err, prev_err);
-        prev_err = err;
-    }
-    EXPECT_LT(prev_err, 1e-12);  // degree 64 is ample for this function
-}
-
-TEST(ChebyshevSeries, NodesLieInsideInterval) {
+TEST(ChebyshevNode, NodesLieInsideInterval) {
     const std::size_t n = 9;
     for (std::size_t k = 0; k < n; ++k) {
-        const double x = ChebyshevSeries::node(k, n, 2.0, 3.0);
+        const double x = chebyshev_node(k, n, 2.0, 3.0);
         EXPECT_GT(x, 2.0);
         EXPECT_LT(x, 3.0);
     }
     // Gauss nodes are interior and symmetric about the midpoint.
-    EXPECT_NEAR(ChebyshevSeries::node(0, n, -1.0, 1.0),
-                -ChebyshevSeries::node(n - 1, n, -1.0, 1.0), 1e-15);
-}
-
-TEST(ChebyshevSeries, DerivativeMatchesAnalytic) {
-    auto f = [](double x) { return std::sin(2.0 * x) + 0.25 * x * x; };
-    auto df = [](double x) { return 2.0 * std::cos(2.0 * x) + 0.5 * x; };
-    const auto s = ChebyshevSeries::fit(-1.5, 1.5, 24, f);
-    for (double x = -1.4; x <= 1.4; x += 0.05) {
-        EXPECT_NEAR(s.derivative(x), df(x), 1e-9) << "x = " << x;
-    }
-}
-
-TEST(ChebyshevSeries, DerivativeOfKnownPolynomial) {
-    // d/dx (x^3) = 3 x^2 — exact for a degree-3 fit, pinning the derivative
-    // recurrence convention (the c0 half-weight).
-    const auto s = ChebyshevSeries::fit(-1.0, 1.0, 3, [](double x) { return x * x * x; });
-    for (double x : {-1.0, -0.3, 0.0, 0.4, 1.0}) {
-        EXPECT_NEAR(s.derivative(x), 3.0 * x * x, 1e-12);
-    }
-}
-
-TEST(ChebyshevSeries, EvalClampsOutsideInterval) {
-    const auto s = ChebyshevSeries::fit(0.0, 1.0, 5, [](double x) { return x * x; });
-    EXPECT_DOUBLE_EQ(s.eval(-3.0), s.eval(0.0));
-    EXPECT_DOUBLE_EQ(s.eval(7.0), s.eval(1.0));
-}
-
-TEST(ChebyshevSeries, TruncationEstimateTracksConvergence) {
-    auto f = [](double x) { return std::exp(x); };
-    const auto coarse = ChebyshevSeries::fit(-1.0, 1.0, 4, f);
-    const auto fine = ChebyshevSeries::fit(-1.0, 1.0, 16, f);
-    EXPECT_GT(coarse.truncation_estimate(), fine.truncation_estimate());
-    EXPECT_LT(fine.truncation_estimate(), 1e-14);
-}
-
-TEST(ChebyshevSeries, FitRejectsBadArguments) {
-    auto f = [](double x) { return x; };
-    EXPECT_THROW(ChebyshevSeries::fit(1.0, 1.0, 3, f), cbs::ContractViolation);
-    EXPECT_THROW(ChebyshevSeries::fit(2.0, 1.0, 3, f), cbs::ContractViolation);
+    EXPECT_NEAR(chebyshev_node(0, n, -1.0, 1.0), -chebyshev_node(n - 1, n, -1.0, 1.0), 1e-15);
 }
 
 TEST(ChebyshevTensor3, ReproducesSeparablePolynomial) {
